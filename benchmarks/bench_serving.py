@@ -1,4 +1,4 @@
-"""Serving benchmarks: batching, fronts, priorities, throughput, ramp.
+"""Serving benchmarks: batching, router hop, priorities, throughput, ramp.
 
 Five questions:
 
@@ -6,8 +6,8 @@ Five questions:
   serving every request as its own forward pass (batch size 1)?
 * what does the stack sustain end-to-end (queue -> policy -> batched int8
   forward -> completion) under a steady concurrent load?
-* does the asyncio front sustain at least the threaded front's throughput
-  at 64 concurrent HTTP connections (the per-connection-overhead claim)?
+* what does the fleet router's hop cost against the same HTTP front served
+  directly, at 32 concurrent connections?
 * does interactive-class traffic hold a lower p95 than batch-class traffic
   under a mixed-priority burst (the priority-scheduling claim)?
 * does the adaptive policy actually move along the Pareto front under a load
@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AsyncPredictionServer,
     Client,
     Deployment,
     Fleet,
@@ -298,12 +297,10 @@ def test_bench_adaptive_load_ramp(lenet_serving):
 
 def _http_burst_rps(server_url: str, images: np.ndarray, n_requests: int,
                     concurrency: int, warmup: int = 16) -> float:
-    """Requests/second of an HTTP front under ``concurrency`` open-loop clients.
+    """Requests/second of an HTTP server under ``concurrency`` open-loop clients.
 
     Every request is its own connection (urllib does not keep-alive), so the
-    measurement includes exactly the per-connection cost the two fronts
-    differ on: accept + thread spawn for the threaded front, accept + loop
-    callback for the asyncio one.
+    measurement includes the per-connection cost: accept + a handler thread.
     """
     client = HTTPClient(server_url, timeout_s=600.0)
 
@@ -317,55 +314,6 @@ def _http_burst_rps(server_url: str, images: np.ndarray, n_requests: int,
         for _ in pool.map(call, range(n_requests)):
             pass
         return n_requests / (time.perf_counter() - started)
-
-
-def test_bench_front_comparison(tiny_artifacts):
-    """Threaded vs asyncio front at 64 concurrent connections.
-
-    The handler work per request is identical (enqueue + block on the
-    scheduler), so any throughput difference is pure front overhead: the
-    threaded server pays an OS thread per connection, the asyncio server a
-    task on one loop.  The tiny CNN keeps the model cost small so the
-    per-connection share of the round trip is as visible as this container
-    allows.  Interleaved best-of-3 per front, like every serving benchmark.
-    """
-    tiny = tiny_artifacts
-    points = [{"label": "exact", "taus": {}, "accuracy": 1.0}]
-    deployment = Deployment.from_points(
-        tiny["qmodel"], points, tiny["result"].significance, unpacked=tiny["result"].unpacked
-    )
-    images = tiny["split"].test.images
-    n_requests, concurrency = 192, 64
-
-    fronts = {"thread": PredictionServer, "asyncio": AsyncPredictionServer}
-    best = {name: 0.0 for name in fronts}
-    for _ in range(3):
-        for name, front_cls in fronts.items():
-            with Scheduler(deployment, policy="fixed", max_batch_size=64, max_wait_ms=5.0) as sched:
-                with front_cls(sched) as server:
-                    rps = _http_burst_rps(server.url, images, n_requests, concurrency)
-                    best[name] = max(best[name], rps)
-
-    ratio = best["asyncio"] / best["thread"]
-    rows = [
-        {"front": "thread (1 thread/conn)", "req/s": best["thread"], "vs thread": 1.0},
-        {"front": "asyncio (event loop)", "req/s": best["asyncio"], "vs thread": ratio},
-    ]
-    record_result(
-        "serving_front_comparison",
-        format_table(rows, title=f"HTTP fronts at {concurrency} concurrent connections (tiny CNN)"),
-    )
-    record_json(
-        "serving",
-        {
-            "thread_front_rps": best["thread"],
-            "asyncio_front_rps": best["asyncio"],
-            "asyncio_vs_thread": ratio,
-        },
-    )
-    # The asyncio front must sustain at least the threaded front's
-    # throughput (small tolerance for container noise on the best-of-3).
-    assert ratio >= 0.95, f"asyncio front slower than threaded: {ratio:.2f}x"
 
 
 def test_bench_router_overhead(tiny_artifacts):

@@ -32,7 +32,7 @@ Typical usage::
     git add benchmarks/baselines/ && git commit ...
 
 Absolute req/s baselines carry wide tolerances (containers differ); the
-ratio metrics (speedups, front comparison) are the tight, portable gates.
+ratio metrics (speedups, router overhead) are the tight, portable gates.
 Stdlib-only on purpose: runs before/without the package being installed.
 """
 

@@ -40,7 +40,7 @@ from repro.mcu import deploy as mcu_deploy
 from repro.models import build_model, list_models
 from repro.nn import Adam, Trainer, load_model, save_model
 from repro.quant import load_quantized_model, quantize_model, save_quantized_model
-from repro.registry import BOARDS, ENGINES, FRONTS, POLICIES, SEARCH_STRATEGIES
+from repro.registry import BOARDS, ENGINES, POLICIES, SEARCH_STRATEGIES
 from repro.utils.logging import configure_cli_verbosity
 from repro.utils.serialization import load_json, save_json
 from repro.workflow import (
@@ -366,8 +366,8 @@ def _smoke_load_ramp(server_url: str, images: np.ndarray, n_requests: int,
         call(index)
         index += 1
     # The burst runs through a client thread pool: tens of simultaneous
-    # HTTP connections, exactly the traffic the fronts differ on (and deep
-    # enough to spike the queue so an adaptive policy visibly escalates).
+    # HTTP connections, enough to spike the queue so an adaptive policy
+    # can escalate.
     with ThreadPoolExecutor(max_workers=max(burst, 1)) as pool:
         for _ in pool.map(call, range(index, index + burst)):
             pass
@@ -466,7 +466,6 @@ def _serve_fleet(args: argparse.Namespace, deployment, split, qmodel,
     config = ReplicaConfig(
         policy=args.policy,
         policy_options=policy_options,
-        front=args.front,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
         n_workers=args.shard_workers,
@@ -483,7 +482,7 @@ def _serve_fleet(args: argparse.Namespace, deployment, split, qmodel,
         health_interval_s=0.5,
     )
     fleet.start()
-    print(f"fleet: router + {args.replicas} replicas ({args.front} front) at {fleet.url}")
+    print(f"fleet: router + {args.replicas} replicas at {fleet.url}")
     try:
         if args.smoke is not None:
             return _fleet_smoke(args, fleet, split)
@@ -772,7 +771,7 @@ def _multitenant_smoke(server_url: str, scheduler, images: np.ndarray,
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve predictions from a deployed model over its DSE Pareto front."""
     from repro.obs import Observability
-    from repro.serving import HTTPClient, Scheduler
+    from repro.serving import HTTPClient, PredictionServer, Scheduler
 
     qmodel = load_quantized_model(args.qmodel)
     split = _dataset_split(args.samples, args.seed)
@@ -890,14 +889,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         obs=obs,
         tenants=tenant_table,
     )
-    front_cls = FRONTS.resolve(args.front)
     scheduler.start()
     try:
         if args.smoke is not None:
-            # The smoke ramp drives real HTTP traffic through the selected
-            # front on an ephemeral port -- the same code path a deployment
-            # exercises, whichever of thread/asyncio is under test.
-            with front_cls(scheduler, host=args.host, port=0) as server:
+            # The smoke ramp drives real HTTP traffic through the front on an
+            # ephemeral port -- the same code path a deployment exercises.
+            with PredictionServer(scheduler, host=args.host, port=0) as server:
                 counts = _smoke_load_ramp(
                     server.url, split.test.images, args.smoke, priority=args.priority
                 )
@@ -908,7 +905,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     )
                 # One extra traced round trip exercises the observability
                 # surface end to end: response header, Prometheus scrape,
-                # event ring -- all through the same front under test.
+                # event ring -- all through the same front.
                 obs_client = HTTPClient(server.url, timeout_s=120.0)
                 _, response_headers = obs_client.predict_with_headers(split.test.images[0])
                 prometheus_text = obs_client.metrics(format="prometheus")
@@ -983,9 +980,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     title=f"profile (sampled every {obs.profiler.sample_every} batches)",
                 ))
             return 0 if (answered == args.smoke and cascade_ok and mt_ok) else 1
-        server = front_cls(scheduler, host=args.host, port=args.port)
+        server = PredictionServer(scheduler, host=args.host, port=args.port)
         print(
-            f"serving {', '.join(model_names)} at {server.url} via the {args.front} front "
+            f"serving {', '.join(model_names)} at {server.url} "
             "(POST /predict, GET /metrics, /levels, /events, /trace, /healthz); "
             "Ctrl-C to stop"
         )
@@ -1092,11 +1089,6 @@ def board_choices() -> List[str]:
 def policy_choices() -> List[str]:
     """Serving-policy names registered in :data:`repro.registry.POLICIES`."""
     return POLICIES.names()
-
-
-def front_choices() -> List[str]:
-    """Server-front names registered in :data:`repro.registry.FRONTS`."""
-    return FRONTS.names()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1206,8 +1198,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON tenant table: a list of {name, model, priority, slo_ms, "
                               "rate_limit_rps, burst, max_inflight, weight} objects "
                               "(token-bucket quotas enforced at enqueue with HTTP 429)")
-    p_serve.add_argument("--front", choices=front_choices(), default="thread",
-                         help="HTTP front end: thread-per-connection or a single asyncio event loop")
+    # One HTTP front is left.  --front thread stays accepted, and hidden,
+    # because existing command lines (perfbench's server among them) pass it.
+    p_serve.add_argument("--front", choices=("thread",), default="thread", help=argparse.SUPPRESS)
     p_serve.add_argument("--priority",
                          choices=("interactive", "standard", "batch", "mixed"),
                          default="standard",

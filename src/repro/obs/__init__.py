@@ -1,7 +1,7 @@
 """Unified observability: metrics registry, tracing, profiling, event log.
 
 One :class:`Observability` bundle travels with a serving stack (the
-scheduler owns it, both HTTP fronts read it): a
+scheduler owns it, the HTTP front reads it): a
 :class:`~repro.obs.metrics.MetricsRegistry` backing the
 :class:`~repro.serving.metrics.ServerMetrics` sink and the Prometheus
 exposition, a :class:`~repro.obs.tracing.Tracer` holding the per-request

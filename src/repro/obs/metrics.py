@@ -2,7 +2,7 @@
 
 The registry is the storage layer of the observability subsystem: the
 serving-side :class:`~repro.serving.metrics.ServerMetrics` sink records into
-these primitives, and both HTTP fronts expose the same state as Prometheus
+these primitives, and the HTTP front exposes the same state as Prometheus
 text exposition format on ``GET /metrics?format=prometheus``.
 
 Design notes:

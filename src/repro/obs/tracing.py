@@ -4,7 +4,7 @@ A *trace* follows one HTTP request through the serving stack; a *span* is a
 named timed stage of that trace.  The canonical stages are::
 
     route          router -> replica forward + reply     (fleet router)
-    parse          body decode + validation + enqueue   (front thread)
+    parse          validation + enqueue (after decode)  (front thread)
     queue-wait     enqueued -> batch leader popped       (scheduler clock)
     batch-execute  the whole coalesced batch's forward   (one per batch)
     execute        this request's share of the batch     (child of batch)

@@ -169,11 +169,6 @@ POLICIES: Registry[type] = Registry(
     "serving policy", builtin_modules=("repro.serving.policy",)
 )
 
-#: HTTP server fronts (the thread-per-connection server and the asyncio one).
-FRONTS: Registry[type] = Registry(
-    "server front", builtin_modules=("repro.serving.server", "repro.serving.async_server")
-)
-
 __all__ = [
     "Registry",
     "RegistryError",
@@ -183,5 +178,4 @@ __all__ = [
     "ENGINES",
     "BOARDS",
     "POLICIES",
-    "FRONTS",
 ]

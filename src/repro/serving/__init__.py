@@ -19,14 +19,13 @@ Quick tour::
         classes = client.predict_many(images)        # coalesced into batches
         print(scheduler.metrics.snapshot().as_dict())
 
-Add an HTTP front with :class:`PredictionServer` (thread-per-connection) or
-:class:`AsyncPredictionServer` (single asyncio event loop), or let serving
-participate in the cached workflow graph through
+Add an HTTP front with :class:`PredictionServer` (thread-per-connection), or
+let serving participate in the cached workflow graph through
 :class:`repro.workflow.ServeStage`.  Requests carry a priority class
 (``interactive``/``standard``/``batch``; the queue serves urgent traffic
 first, with an aging bound against starvation) and per-class latency/shed
 telemetry flows through :class:`ServerMetrics`.  Policies are pluggable via
-:data:`repro.registry.POLICIES`, fronts via :data:`repro.registry.FRONTS`.
+:data:`repro.registry.POLICIES`.
 
 One scheduler can serve a whole *deployment table*: pass a mapping (or
 sequence) of :class:`Deployment` objects and every request routes to a
@@ -39,7 +38,7 @@ weighted round-robin.
 
 Observability (:mod:`repro.obs`) is wired through the stack: the scheduler
 owns an :class:`~repro.obs.Observability` bundle (metrics registry, request
-tracer, sampled profiler, event log) and both fronts expose it --
+tracer, sampled profiler, event log) and the HTTP front exposes it --
 ``GET /metrics?format=prometheus``, ``GET /events``, ``GET /trace`` and an
 ``X-Trace-Id`` header on every prediction.
 
@@ -50,7 +49,6 @@ Prometheus exposition, merged traces/events and a fleet ``/healthz``.
 """
 
 from repro.obs import Observability
-from repro.serving.async_server import AsyncPredictionServer
 from repro.serving.client import Client, HTTPClient
 from repro.serving.deployment import Deployment, ServiceLevel
 from repro.serving.metrics import MetricsSnapshot, ServerMetrics
@@ -88,7 +86,6 @@ from repro.serving.workers import ReplicatedRunner
 from repro.serving.fleet import Fleet, FleetRouter, ReplicaConfig, ReplicaProcess  # noqa: E402
 
 __all__ = [
-    "AsyncPredictionServer",
     "Fleet",
     "FleetRouter",
     "ReplicaConfig",

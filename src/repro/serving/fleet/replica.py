@@ -37,10 +37,9 @@ except ValueError:  # pragma: no cover - non-POSIX fallback
 
 @dataclass
 class ReplicaConfig:
-    """Scheduler/front configuration applied to every replica uniformly."""
+    """Scheduler/server configuration applied to every replica uniformly."""
 
     policy: Any = "queue-depth"
-    front: str = "thread"
     max_batch_size: int = 32
     max_wait_ms: float = 5.0
     starvation_ms: Optional[float] = 2000.0
@@ -72,9 +71,8 @@ def _resolve_policy(config: ReplicaConfig):
 def _replica_main(index: int, deployment: Any, config: ReplicaConfig, conn) -> None:
     """Child-process entry point: serve until told (or signalled) to stop."""
     from repro.obs import MetricsRegistry, Observability
-    from repro.registry import FRONTS
-    from repro.serving import async_server, server  # noqa: F401 - register fronts
     from repro.serving.scheduler import Scheduler
+    from repro.serving.server import PredictionServer
     from repro.serving.tenancy import TenantTable
 
     registry = MetricsRegistry(const_labels={"replica": str(index)})
@@ -96,8 +94,7 @@ def _replica_main(index: int, deployment: Any, config: ReplicaConfig, conn) -> N
         tenants=tenants,
     )
     scheduler.start()
-    front_cls = FRONTS.resolve(config.front)
-    front = front_cls(
+    front = PredictionServer(
         scheduler, host=config.host, port=0, request_timeout_s=config.request_timeout_s
     )
     front.start()

@@ -21,7 +21,9 @@ One :class:`FleetRouter` fronts N replica server processes:
   until its probe succeeds again.
 
 Shutdown drains: new predictions get 503 while in-flight forwards finish
-(bounded by ``drain_timeout_s``), then the listener closes.
+(bounded by ``drain_timeout_s``), then the listener closes.  The router
+serves on the same stdlib handler as the replicas it fronts: both are
+:class:`~repro.serving.server.HTTPFront` subclasses.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import http.client
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -38,7 +39,7 @@ from repro.obs import MetricsRegistry, Observability, new_trace_id
 from repro.obs.exposition import federate_families, parse_prometheus, render_families
 from repro.obs.metrics import LATENCY_BUCKETS_MS
 from repro.serving.fleet.federation import merge_events, merge_spans, rollup_snapshots
-from repro.serving.server import MAX_BODY_BYTES, _BacklogThreadingHTTPServer, sanitize_trace_id
+from repro.serving.server import HTTPFront, query_int
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.fleet.router")
@@ -59,7 +60,7 @@ class _ReplicaState:
         self.inflight = 0
 
 
-class FleetRouter:
+class FleetRouter(HTTPFront):
     """HTTP front tier routing to replica servers and federating their obs.
 
     Parameters
@@ -125,43 +126,18 @@ class FleetRouter:
             self._g_up.set(1, target=state.name)
 
         self._local = threading.local()  # per-handler-thread keep-alive links
-        handler = _make_router_handler(self)
-        self._httpd = _BacklogThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
         self._health_stop = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
+        super().__init__(host, port)
 
     # ------------------------------------------------------------------ lifecycle
-    @property
-    def host(self) -> str:
-        """Bound host."""
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound TCP port (resolved when constructed with ``port=0``)."""
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        """Base URL of the router."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "FleetRouter":
-        """Serve in a background thread and start the health probe loop."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="fleet-router", daemon=True
-            )
-            self._thread.start()
-            self._health_stop.clear()
-            self._health_thread = threading.Thread(
-                target=self._health_loop, name="fleet-health", daemon=True
-            )
-            self._health_thread.start()
-            logger.info("fleet router on %s over %d replicas", self.url, len(self._states))
-        return self
+    def _on_start(self) -> None:
+        self._health_stop.clear()
+        self._health_thread = threading.Thread(
+            target=self._health_loop, name="fleet-health", daemon=True
+        )
+        self._health_thread.start()
+        logger.info("fleet router on %s over %d replicas", self.url, len(self._states))
 
     def begin_drain(self) -> None:
         """Refuse new predictions; in-flight forwards keep running."""
@@ -190,17 +166,7 @@ class FleetRouter:
         if self._health_thread is not None:
             self._health_thread.join(timeout=5.0)
             self._health_thread = None
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        super().stop()
 
     # ------------------------------------------------------------------ routing
     def _pick(self, exclude: frozenset) -> Optional[_ReplicaState]:
@@ -277,10 +243,15 @@ class FleetRouter:
         raise RuntimeError("unreachable")  # pragma: no cover
 
     def handle_predict(
-        self, body: bytes, incoming_trace_id: Optional[str]
+        self, raw_body: bytes, trace_id: Optional[str]
     ) -> Tuple[int, Union[bytes, Dict[str, Any]], Dict[str, str]]:
-        """Route one ``POST /predict`` body; returns (status, payload, headers)."""
-        trace_id = incoming_trace_id or new_trace_id()
+        """Route one ``POST /predict`` body; returns (status, payload, headers).
+
+        The replica's answer is relayed verbatim (its ``Content-Type`` rides
+        in the headers); ``trace_id`` is the client's ``X-Trace-Id``, or
+        ``None`` for a fresh one.
+        """
+        trace_id = trace_id or new_trace_id()
         response_headers = {"X-Trace-Id": trace_id}
         with self._lock:
             draining = self._draining
@@ -294,7 +265,7 @@ class FleetRouter:
             attempted.add(state.name)
             started = time.monotonic()
             try:
-                status, data, content_type = self._forward(state, body, trace_id)
+                status, data, content_type = self._forward(state, raw_body, trace_id)
             except (http.client.HTTPException, OSError) as failure:
                 self._release(state)
                 self._c_errors.inc(target=state.name)
@@ -459,10 +430,10 @@ class FleetRouter:
             return 200, self.metrics_rollup()
         if route == "/trace":
             trace_id = query.get("trace_id", [None])[0]
-            limit = _query_int(query, "limit")
+            limit = query_int(query, "limit")
             return 200, {"spans": self.merged_trace(trace_id=trace_id, limit=limit)}
         if route == "/events":
-            limit = _query_int(query, "limit")
+            limit = query_int(query, "limit")
             kind = query.get("kind", [None])[0]
             return 200, {"events": self.merged_events(limit=limit, kind=kind)}
         if route == "/levels":
@@ -475,71 +446,3 @@ class FleetRouter:
         if route == "/replicas":
             return 200, self.health()["replicas"]
         return 404, {"error": f"unknown path {path!r}"}
-
-
-def _query_int(query: Dict[str, List[str]], name: str) -> Optional[int]:
-    values = query.get(name)
-    if not values:
-        return None
-    try:
-        return int(values[0])
-    except ValueError:
-        return None
-
-
-def _make_router_handler(router: FleetRouter):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            logger.debug("%s -- %s", self.address_string(), format % args)
-
-        def _respond(
-            self,
-            status: int,
-            payload: Union[bytes, Dict[str, Any], str],
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            headers = dict(headers or {})
-            if isinstance(payload, bytes):
-                body = payload
-                content_type = headers.pop("Content-Type", "application/json")
-            elif isinstance(payload, str):
-                body = payload.encode("utf-8")
-                content_type = "text/plain; charset=utf-8"
-            else:
-                body = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-            status, payload = router.handle_get(self.path)
-            self._respond(status, payload)
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                self.close_connection = True
-                self._respond(400, {"error": "malformed Content-Length header"})
-                return
-            if length <= 0 or length > MAX_BODY_BYTES:
-                self.close_connection = True
-                self._respond(400, {"error": "missing or oversized request body"})
-                return
-            raw = self.rfile.read(length)
-            if self.path != "/predict":
-                self._respond(404, {"error": f"unknown path {self.path!r}"})
-                return
-            status, payload, headers = router.handle_predict(
-                raw, sanitize_trace_id(self.headers.get("X-Trace-Id"))
-            )
-            self._respond(status, payload, headers)
-
-    return Handler

@@ -5,8 +5,8 @@ stack: the scheduler records every batch it executes, the policies read the
 resulting :class:`MetricsSnapshot` to pick the next service level, and the
 HTTP front exposes the same snapshot on ``GET /metrics``.  All counters live
 in a :class:`~repro.obs.metrics.MetricsRegistry` -- the same registry the
-fronts render as Prometheus text on ``GET /metrics?format=prometheus``, and
-the one a future fleet router will sum per-replica series from.  Only the
+front renders as Prometheus text on ``GET /metrics?format=prometheus``, and
+the one the fleet router sums per-replica series from.  Only the
 percentile windows, the exact batch-size histogram and the current-level
 marker stay as plain state behind the sink's lock.
 

@@ -6,9 +6,8 @@ it, the :class:`~repro.serving.scheduler.Scheduler` coalesces pending
 requests into a batch, runs them through the model and completes each request
 with its predicted class.  Completion is signalled through a
 ``threading.Event`` (front-end threads block on :meth:`Request.result`) and
-through :meth:`Request.add_done_callback` (the asyncio front bridges the
-callback into its event loop with ``call_soon_threadsafe``), so both fronts
-share one scheduler core.
+through :meth:`Request.add_done_callback` (the scheduler returns the
+request's tenant quota slot from it).
 
 Every request belongs to one of three *priority classes* -- in the spirit of
 packet classification on network switches, where latency-critical flows are
@@ -210,9 +209,8 @@ class Request:
 
         The callback runs on whichever thread completes the request (the
         scheduler core) -- or immediately on the calling thread if the
-        request is already done.  The asyncio front uses this to wake its
-        event loop with ``call_soon_threadsafe`` instead of parking an
-        executor thread per in-flight request.
+        request is already done.  The scheduler releases the request's
+        tenant in-flight slot this way, whichever terminal state it reaches.
         """
         with self._callback_lock:
             if not self._done.is_set():

@@ -349,7 +349,7 @@ class Scheduler:
 
         Explicit names win; otherwise the tenant's pinned model, then the
         server default.  Raises :class:`UnknownModel` for names not on the
-        table (the structured HTTP 404 of both fronts).
+        table (the HTTP front's structured 404).
         """
         if model is None and tenant is not None:
             config = self.tenants.get(tenant)
@@ -384,9 +384,9 @@ class Scheduler:
         tenant's pinned model, then the server default).  ``tenant`` selects
         the quota/fairness identity -- unknown tenants raise
         :class:`~repro.serving.tenancy.UnknownTenant`, over-quota tenants
-        :class:`~repro.serving.tenancy.TenantQuotaExceeded` (the fronts'
+        :class:`~repro.serving.tenancy.TenantQuotaExceeded` (the front's
         structured 403/429).  ``trace_id`` links the request's observability
-        spans; the HTTP fronts pass one per POST body.
+        spans; the HTTP front passes one per POST body.
         """
         if not self.running:
             raise SchedulerStopped("cannot submit to a stopped scheduler")

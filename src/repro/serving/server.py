@@ -6,13 +6,11 @@ concurrent HTTP clients are exactly what feeds the scheduler's coalescing
 window -- more simultaneous callers means bigger batches, not more model
 invocations.  No dependencies beyond ``http.server`` and ``json``.
 
-The endpoint logic (payload validation, response shapes, error mapping) is
-shared with the asyncio front
-(:class:`~repro.serving.async_server.AsyncPredictionServer`) through the
-module-level helpers below -- the two fronts differ only in how they wait
-for request completion (blocking on the event vs awaiting a loop future).
-Fronts are pluggable through :data:`repro.registry.FRONTS`; this one is
-registered as ``"thread"``.
+The stdlib handler in this module is the package's only one: the fleet
+router (:class:`~repro.serving.fleet.router.FleetRouter`) runs on it too.
+Both servers subclass :class:`HTTPFront`, which owns the listener and the
+HTTP framing, and answer ``handle_predict(raw_body, trace_id)`` and
+``handle_get(path)``.
 
 Endpoints::
 
@@ -52,9 +50,8 @@ from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from repro.obs.tracing import new_trace_id
-from repro.registry import FRONTS
-from repro.serving.request import DEFAULT_PRIORITY, PRIORITIES, Request, RequestTimedOut
+from repro.obs.tracing import Tracer, new_trace_id
+from repro.serving.request import PRIORITIES, RequestTimedOut
 from repro.serving.scheduler import Scheduler, UnknownModel
 from repro.serving.tenancy import TenantQuotaExceeded, UnknownTenant
 from repro.utils.logging import get_logger
@@ -65,6 +62,11 @@ logger = get_logger("serving.server")
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
+
+#: What a handler answers: a ``dict`` is served as JSON, a ``str`` as
+#: ``text/plain`` and ``bytes`` verbatim under the ``Content-Type`` header
+#: that comes with them.
+Payload = Union[Dict[str, Any], str, bytes]
 
 
 def sanitize_trace_id(value: Optional[str]) -> Optional[str]:
@@ -80,174 +82,7 @@ def sanitize_trace_id(value: Optional[str]) -> Optional[str]:
     return None
 
 
-# --------------------------------------------------------------------------- shared endpoint logic
-class ParsedPredict:
-    """The validated fields of a ``POST /predict`` body.
-
-    ``error`` is ``None`` on success, otherwise an ``(http_status,
-    response)`` pair and the remaining fields are meaningless.  ``model`` is
-    the *resolved* deployment-table name (explicit field, tenant pin or
-    server default) and ``tenant`` the raw tenant name (``None`` means the
-    default tenant).
-    """
-
-    __slots__ = ("error", "xs", "timeout_ms", "priority", "model", "tenant")
-
-    def __init__(
-        self,
-        error: Optional[Tuple[int, Dict[str, Any]]] = None,
-        xs: Optional[np.ndarray] = None,
-        timeout_ms: Optional[float] = None,
-        priority: Optional[str] = None,
-        model: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ):
-        self.error = error
-        self.xs = xs
-        self.timeout_ms = timeout_ms
-        self.priority = priority
-        self.model = model
-        self.tenant = tenant
-
-
-def parse_predict_payload(scheduler: Scheduler, payload: Dict[str, Any]) -> ParsedPredict:
-    """Validate a ``POST /predict`` body against the scheduler's table.
-
-    Shared by the threaded and asyncio fronts so a malformed body gets the
-    same response whichever front receives it: generic 400s for shape/type
-    problems, a structured 404 for unknown models (naming the served
-    models) and a structured 403 for unknown tenants (naming the registered
-    tenants).
-    """
-    model = payload.get("model")
-    if model is not None and not isinstance(model, str):
-        return ParsedPredict(error=(400, {"error": "'model' is not a string"}))
-    tenant = payload.get("tenant")
-    if tenant is not None and not isinstance(tenant, str):
-        return ParsedPredict(error=(400, {"error": "'tenant' is not a string"}))
-    if tenant is not None and tenant not in scheduler.tenants:
-        return ParsedPredict(
-            error=(
-                403,
-                {
-                    "error": f"unknown tenant {tenant!r}",
-                    "tenant": tenant,
-                    "registered_tenants": scheduler.tenants.names(),
-                },
-            )
-        )
-    try:
-        resolved_model = scheduler.resolve_model(model, tenant=tenant)
-    except UnknownModel as failure:
-        return ParsedPredict(
-            error=(
-                404,
-                {
-                    "error": str(failure),
-                    "model": failure.model,
-                    "available_models": failure.choices,
-                },
-            )
-        )
-    inputs = payload.get("inputs")
-    if inputs is None:
-        return ParsedPredict(error=(400, {"error": "missing 'inputs' field"}))
-    try:
-        xs = np.asarray(inputs, dtype=np.float32)
-    except (TypeError, ValueError):
-        return ParsedPredict(error=(400, {"error": "'inputs' is not a numeric array"}))
-    sample_shape = scheduler.deployments[resolved_model].qmodel.input_shape
-    if xs.shape == sample_shape:
-        xs = xs[None, ...]
-    if xs.ndim != len(sample_shape) + 1 or xs.shape[1:] != sample_shape:
-        return ParsedPredict(
-            error=(
-                400,
-                {
-                    "error": f"model {resolved_model!r} expects inputs of per-sample shape "
-                    f"{list(sample_shape)}, got array of shape {list(xs.shape)}"
-                },
-            )
-        )
-    timeout_ms = payload.get("timeout_ms")
-    if timeout_ms is not None:
-        if isinstance(timeout_ms, bool):  # bool passes float() -- reject explicitly
-            return ParsedPredict(error=(400, {"error": "'timeout_ms' is not a number"}))
-        try:
-            timeout_ms = float(timeout_ms)
-        except (TypeError, ValueError):
-            return ParsedPredict(error=(400, {"error": "'timeout_ms' is not a number"}))
-        if timeout_ms <= 0:
-            return ParsedPredict(error=(400, {"error": "'timeout_ms' must be positive"}))
-    priority = payload.get("priority")
-    if priority is not None and (not isinstance(priority, str) or priority not in PRIORITIES):
-        return ParsedPredict(
-            error=(
-                400,
-                {"error": f"unknown priority {priority!r}; expected one of {list(PRIORITIES)}"},
-            )
-        )
-    return ParsedPredict(
-        xs=xs, timeout_ms=timeout_ms, priority=priority, model=resolved_model, tenant=tenant
-    )
-
-
-def predict_success_response(requests: List[Request]) -> Dict[str, Any]:
-    """Build the 200 body from a list of completed requests."""
-    return {
-        "classes": [request.prediction for request in requests],
-        "levels": [request.level_name for request in requests],
-        "priority": requests[0].priority if requests else DEFAULT_PRIORITY,
-        "model": requests[0].model if requests else None,
-        "tenant": requests[0].tenant if requests else None,
-        "wait_ms": [round(request.wait_ms, 3) for request in requests],
-        "service_ms": [round(request.service_ms, 3) for request in requests],
-        "trace_id": requests[0].trace_id if requests else None,
-    }
-
-
-def predict_error_response(error: BaseException) -> Tuple[int, Dict[str, Any]]:
-    """Map a serving-side failure to the (status, body) both fronts return."""
-    if isinstance(error, TenantQuotaExceeded):
-        body: Dict[str, Any] = {
-            "error": str(error),
-            "tenant": error.tenant,
-            "reason": error.reason,
-        }
-        if error.retry_after_s is not None:
-            body["retry_after_s"] = round(error.retry_after_s, 3)
-        return 429, body
-    if isinstance(error, UnknownTenant):
-        return 403, {
-            "error": str(error),
-            "tenant": error.tenant,
-            "registered_tenants": error.choices,
-        }
-    if isinstance(error, UnknownModel):
-        return 404, {
-            "error": str(error),
-            "model": error.model,
-            "available_models": error.choices,
-        }
-    if isinstance(error, RequestTimedOut):
-        return 504, {"error": f"request shed: {error}"}
-    if isinstance(error, TimeoutError):
-        return 503, {"error": "prediction timed out"}
-    return 503, {"error": str(error)}
-
-
-def quota_retry_headers(status: int, body: Dict[str, Any]) -> Dict[str, str]:
-    """The ``Retry-After`` header for a 429 body that predicts one.
-
-    Shared by both fronts so rate-limited clients get the same whole-second
-    hint regardless of which server answered.
-    """
-    if status == 429 and "retry_after_s" in body:
-        return {"Retry-After": str(max(1, int(math.ceil(body["retry_after_s"]))))}
-    return {}
-
-
-def _query_int(query: Dict[str, List[str]], name: str) -> Optional[int]:
+def query_int(query: Dict[str, List[str]], name: str) -> Optional[int]:
     """First integer value of a query parameter, or ``None``."""
     values = query.get(name)
     if not values:
@@ -258,56 +93,76 @@ def _query_int(query: Dict[str, List[str]], name: str) -> Optional[int]:
         return None
 
 
-def handle_introspection(
-    scheduler: Scheduler, path: str
-) -> Tuple[int, Union[Dict[str, Any], str]]:
-    """Execute one introspection GET.
+# --------------------------------------------------------------------------- the one handler
+class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.1 framing for the :class:`HTTPFront` at ``self.server.front``."""
 
-    Returns ``(status, payload)``; a ``dict`` payload is served as JSON, a
-    ``str`` payload as ``text/plain`` (the Prometheus exposition).
-    """
-    parts = urlsplit(path)
-    query = parse_qs(parts.query)
-    route = parts.path
-    if route == "/healthz":
-        return 200, {"status": "ok" if scheduler.running else "stopped"}
-    if route == "/metrics":
-        if query.get("format", [""])[0] == "prometheus":
-            return 200, scheduler.metrics.render_prometheus(queue_depth=scheduler.queue.depth())
-        snapshot = scheduler.metrics.snapshot(queue_depth=scheduler.queue.depth())
-        payload = snapshot.as_dict()
-        profile = scheduler.obs.profiler.snapshot()
-        if profile:
-            payload["profile"] = profile
-        return 200, payload
-    if route == "/levels":
-        # Grouped per model; the flat "levels" key keeps describing the
-        # default model so single-model clients see the PR-2 shape.
-        return 200, {
-            "levels": scheduler.deployment.describe(),
-            "default_model": scheduler.default_model,
-            "models": {
-                name: deployment.describe()
-                for name, deployment in scheduler.deployments.items()
-            },
-        }
-    if route == "/events":
-        limit = _query_int(query, "limit")
-        kind = query.get("kind", [None])[0]
-        return 200, {"events": scheduler.obs.events.snapshot(limit=limit, kind=kind)}
-    if route == "/trace":
-        trace_id = query.get("trace_id", [None])[0]
-        spans = scheduler.obs.tracer.spans(trace_id=trace_id)
-        limit = _query_int(query, "limit")
-        if limit is None and trace_id is None:
-            limit = 256  # bounded by default: the whole ring can be 4096 spans
-        if limit is not None and limit >= 0:
-            spans = spans[-limit:]
-        return 200, {"spans": [span.as_dict() for span in spans]}
-    return 404, {"error": f"unknown path {path!r}"}
+    protocol_version = "HTTP/1.1"
+    # Headers and body leave as two writes.  With Nagle on, the body waits
+    # for the ACK of the headers, which a keep-alive client delays (~40 ms
+    # on Linux) -- a stall on every response of a reused connection.
+    disable_nagle_algorithm = True
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        logger.debug("%s -- %s", self.address_string(), format % args)
+
+    def _respond(
+        self, status: int, payload: Payload, headers: Optional[Dict[str, str]] = None
+    ) -> None:
+        headers = dict(headers or {})
+        if isinstance(payload, bytes):
+            body = payload
+            content_type = headers.pop("Content-Type", "application/json")
+        elif isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = "text/plain; charset=utf-8"
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        status, payload = self.server.front.handle_get(self.path)
+        self._respond(status, payload)
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            self.close_connection = True
+            self._respond(400, {"error": "malformed Content-Length header"})
+            return
+        if length <= 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
+            self._respond(400, {"error": "missing or oversized request body"})
+            return
+        # Read the body before any routing: leaving it unread would
+        # desync the next request on a keep-alive connection.
+        raw = self.rfile.read(length)
+        if self.path != "/predict":
+            self._respond(404, {"error": f"unknown path {self.path!r}"})
+            return
+        front = self.server.front
+        status, payload, headers = front.handle_predict(
+            raw, sanitize_trace_id(self.headers.get("X-Trace-Id"))
+        )
+        # The respond span times serialisation + the socket write -- the
+        # last leg of the request's journey, on the handler thread.
+        tracer = front.respond_tracer
+        trace_id = headers.get("X-Trace-Id")
+        write_started = time.monotonic()
+        self._respond(status, payload, headers)
+        if tracer is not None and tracer.enabled and trace_id is not None:
+            tracer.record_span("respond", trace_id, write_started, time.monotonic())
 
 
-class _BacklogThreadingHTTPServer(ThreadingHTTPServer):
+class _ThreadingHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server with a listen backlog sized for burst traffic.
 
     The stdlib default backlog of 5 resets connections the moment a few
@@ -318,8 +173,105 @@ class _BacklogThreadingHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
 
 
-@FRONTS.register("thread")
-class PredictionServer:
+class HTTPFront:
+    """A TCP listener on the shared stdlib handler, served from a thread.
+
+    This class owns the socket, the serving thread and the HTTP framing
+    (body limits, keep-alive, response encoding); subclasses supply the
+    answers through :meth:`handle_predict` and :meth:`handle_get`.
+    """
+
+    #: Records each ``POST /predict``'s ``respond`` span; ``None`` records none.
+    respond_tracer: Optional[Tracer] = None
+
+    def __init__(self, host: str, port: int):
+        self._httpd = _ThreadingHTTPServer((host, port), _Handler)
+        self._httpd.front = self
+        self._thread: Optional[threading.Thread] = None
+
+    @property
+    def host(self) -> str:
+        """Bound host."""
+        return self._httpd.server_address[0]
+
+    @property
+    def port(self) -> int:
+        """Bound TCP port (resolved when constructed with ``port=0``)."""
+        return int(self._httpd.server_address[1])
+
+    @property
+    def url(self) -> str:
+        """Base URL of the server."""
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> "HTTPFront":
+        """Serve in a background thread (idempotent)."""
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(
+                target=self._httpd.serve_forever, name=type(self).__name__, daemon=True
+            )
+            self._thread.start()
+            self._on_start()
+        return self
+
+    def _on_start(self) -> None:
+        """Runs each time :meth:`start` launches the serving thread."""
+
+    def stop(self) -> None:
+        """Stop accepting connections and join the serving thread."""
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
+
+    def __enter__(self) -> "HTTPFront":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    def handle_predict(
+        self, raw_body: bytes, trace_id: Optional[str]
+    ) -> Tuple[int, Payload, Dict[str, str]]:
+        """Answer one ``POST /predict`` body: ``(status, payload, headers)``."""
+        raise NotImplementedError
+
+    def handle_get(self, path: str) -> Tuple[int, Payload]:
+        """Answer one GET of ``path`` (query string included): ``(status, payload)``."""
+        raise NotImplementedError
+
+
+# --------------------------------------------------------------------------- the prediction server
+def _failure_response(error: BaseException) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    """Map a serving-side failure to its status, body and extra headers."""
+    if isinstance(error, TenantQuotaExceeded):
+        body: Dict[str, Any] = {"error": str(error), "tenant": error.tenant, "reason": error.reason}
+        if error.retry_after_s is None:
+            return 429, body, {}
+        body["retry_after_s"] = round(error.retry_after_s, 3)
+        # Whole seconds, never 0: a rate-limited client must back off.
+        return 429, body, {"Retry-After": str(max(1, int(math.ceil(body["retry_after_s"]))))}
+    if isinstance(error, UnknownTenant):
+        return 403, {
+            "error": str(error),
+            "tenant": error.tenant,
+            "registered_tenants": error.choices,
+        }, {}
+    if isinstance(error, UnknownModel):
+        return 404, {
+            "error": str(error),
+            "model": error.model,
+            "available_models": error.choices,
+        }, {}
+    if isinstance(error, RequestTimedOut):
+        return 504, {"error": f"request shed: {error}"}, {}
+    if isinstance(error, TimeoutError):
+        return 503, {"error": "prediction timed out"}, {}
+    return 503, {"error": str(error)}, {}
+
+
+class PredictionServer(HTTPFront):
     """HTTP front end: serve a running :class:`Scheduler` on a TCP port.
 
     Parameters
@@ -339,46 +291,14 @@ class PredictionServer:
         port: int = 0,
         request_timeout_s: float = 30.0,
     ):
+        super().__init__(host, port)
         self.scheduler = scheduler
         self.request_timeout_s = float(request_timeout_s)
-        handler = _make_handler(self)
-        self._httpd = _BacklogThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._thread: Optional[threading.Thread] = None
+        self.respond_tracer = scheduler.obs.tracer
 
     # ------------------------------------------------------------------ lifecycle
-    @property
-    def host(self) -> str:
-        """Bound host."""
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """Bound TCP port (resolved when constructed with ``port=0``)."""
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        """Base URL of the server."""
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "PredictionServer":
-        """Serve in a background thread (idempotent)."""
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name="serving-http", daemon=True
-            )
-            self._thread.start()
-            logger.info("serving %s on %s", ", ".join(self.scheduler.models()), self.url)
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting connections and join the server thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    def _on_start(self) -> None:
+        logger.info("serving %s on %s", ", ".join(self.scheduler.models()), self.url)
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
@@ -387,42 +307,89 @@ class PredictionServer:
         finally:
             self._httpd.server_close()
 
-    def __enter__(self) -> "PredictionServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # ------------------------------------------------------------------ request handling
     def handle_predict(
-        self, payload: Dict[str, Any], trace_id: Optional[str] = None
+        self, raw_body: bytes, trace_id: Optional[str] = None
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Execute one ``POST /predict`` body.
+        """Validate, enqueue and await one ``POST /predict`` body.
 
-        Returns ``(status, response, headers)``; the headers carry the
-        ``X-Trace-Id`` of the body's requests once they were submitted.
-        ``trace_id`` joins an upstream trace (the fleet router's ``route``
-        span) instead of minting a fresh id.
+        Returns ``(status, response, headers)``.  Shape and type problems get
+        generic 400s, unknown tenants a structured 403 naming the registered
+        tenants and unknown models a structured 404 naming the served
+        models.  Once the body's requests are submitted, the headers carry
+        their ``X-Trace-Id``; ``trace_id`` joins an upstream trace (the fleet
+        router's ``route`` span) instead of minting a fresh id.
         """
-        tracer = self.scheduler.obs.tracer
+        try:
+            payload = json.loads(raw_body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return 400, {"error": "request body is not valid JSON"}, {}
+        # The parse span starts after the JSON decode: it covers validation
+        # + enqueue, up to the requests entering the queue.
         parse_started = time.monotonic()
-        parsed = parse_predict_payload(self.scheduler, payload)
-        if parsed.error is not None:
-            return parsed.error[0], parsed.error[1], {}
+        scheduler = self.scheduler
+        if not isinstance(payload, dict):
+            return 400, {"error": "request body must be a JSON object"}, {}
+        model = payload.get("model")
+        if model is not None and not isinstance(model, str):
+            return 400, {"error": "'model' is not a string"}, {}
+        tenant = payload.get("tenant")
+        if tenant is not None and not isinstance(tenant, str):
+            return 400, {"error": "'tenant' is not a string"}, {}
+        if tenant is not None and tenant not in scheduler.tenants:
+            return 403, {
+                "error": f"unknown tenant {tenant!r}",
+                "tenant": tenant,
+                "registered_tenants": scheduler.tenants.names(),
+            }, {}
+        try:
+            model = scheduler.resolve_model(model, tenant=tenant)
+        except UnknownModel as failure:
+            return _failure_response(failure)
+        inputs = payload.get("inputs")
+        if inputs is None:
+            return 400, {"error": "missing 'inputs' field"}, {}
+        try:
+            xs = np.asarray(inputs, dtype=np.float32)
+        except (TypeError, ValueError):
+            return 400, {"error": "'inputs' is not a numeric array"}, {}
+        sample_shape = scheduler.deployments[model].qmodel.input_shape
+        if xs.shape == sample_shape:
+            xs = xs[None, ...]
+        if xs.ndim != len(sample_shape) + 1 or xs.shape[1:] != sample_shape:
+            return 400, {
+                "error": f"model {model!r} expects inputs of per-sample shape "
+                f"{list(sample_shape)}, got array of shape {list(xs.shape)}"
+            }, {}
+        timeout_ms = payload.get("timeout_ms")
+        if timeout_ms is not None:
+            if isinstance(timeout_ms, bool):  # bool passes float() -- reject explicitly
+                return 400, {"error": "'timeout_ms' is not a number"}, {}
+            try:
+                timeout_ms = float(timeout_ms)
+            except (TypeError, ValueError):
+                return 400, {"error": "'timeout_ms' is not a number"}, {}
+            if timeout_ms <= 0:
+                return 400, {"error": "'timeout_ms' must be positive"}, {}
+        priority = payload.get("priority")
+        if priority is not None and (not isinstance(priority, str) or priority not in PRIORITIES):
+            return 400, {
+                "error": f"unknown priority {priority!r}; expected one of {list(PRIORITIES)}"
+            }, {}
+
         if trace_id is None:
             trace_id = new_trace_id()
         headers = {"X-Trace-Id": trace_id}
         try:
-            requests = self.scheduler.submit_many(
-                parsed.xs,
-                timeout_ms=parsed.timeout_ms,
-                priority=parsed.priority,
+            requests = scheduler.submit_many(
+                xs,
+                timeout_ms=timeout_ms,
+                priority=priority,
                 trace_id=trace_id,
-                model=parsed.model,
-                tenant=parsed.tenant,
+                model=model,
+                tenant=tenant,
             )
-            # The parse span covers validation + enqueue: everything between
-            # body receipt and the requests entering the queue.
+            tracer = scheduler.obs.tracer
             if tracer.enabled:
                 tracer.record_span(
                     "parse", trace_id, parse_started, time.monotonic(), n_samples=len(requests)
@@ -434,79 +401,63 @@ class PredictionServer:
             for request in requests:
                 request.result(timeout=max(deadline - time.monotonic(), 0.001))
         except Exception as failure:
-            status, body = predict_error_response(failure)
-            headers.update(quota_retry_headers(status, body))
+            status, body, extra_headers = _failure_response(failure)
+            headers.update(extra_headers)
             return status, body, headers
-        return 200, predict_success_response(requests), headers
+        return 200, {
+            "classes": [request.prediction for request in requests],
+            "levels": [request.level_name for request in requests],
+            "priority": requests[0].priority,
+            "model": requests[0].model,
+            "tenant": requests[0].tenant,
+            "wait_ms": [round(request.wait_ms, 3) for request in requests],
+            "service_ms": [round(request.service_ms, 3) for request in requests],
+            "trace_id": requests[0].trace_id,
+        }, headers
 
     def handle_get(self, path: str) -> Tuple[int, Union[Dict[str, Any], str]]:
-        """Execute one GET; returns (status, response)."""
-        return handle_introspection(self.scheduler, path)
+        """Execute one introspection GET; returns ``(status, payload)``.
 
-
-def _make_handler(server: PredictionServer):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            logger.debug("%s -- %s", self.address_string(), format % args)
-
-        def _respond(
-            self,
-            status: int,
-            payload: Union[Dict[str, Any], str],
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            if isinstance(payload, str):
-                body = payload.encode("utf-8")
-                content_type = "text/plain; charset=utf-8"
-            else:
-                body = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-            status, payload = server.handle_get(self.path)
-            self._respond(status, payload)
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                self.close_connection = True
-                self._respond(400, {"error": "malformed Content-Length header"})
-                return
-            if length <= 0 or length > MAX_BODY_BYTES:
-                self.close_connection = True
-                self._respond(400, {"error": "missing or oversized request body"})
-                return
-            # Read the body before any routing: leaving it unread would
-            # desync the next request on a keep-alive connection.
-            raw = self.rfile.read(length)
-            if self.path != "/predict":
-                self._respond(404, {"error": f"unknown path {self.path!r}"})
-                return
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._respond(400, {"error": "request body is not valid JSON"})
-                return
-            status, response, headers = server.handle_predict(
-                payload, trace_id=sanitize_trace_id(self.headers.get("X-Trace-Id"))
-            )
-            # The respond span times serialisation + the socket write -- the
-            # last leg of the request's journey, on the handler thread.
-            tracer = server.scheduler.obs.tracer
-            trace_id = headers.get("X-Trace-Id")
-            write_started = time.monotonic()
-            self._respond(status, response, headers)
-            if tracer.enabled and trace_id is not None:
-                tracer.record_span("respond", trace_id, write_started, time.monotonic())
-
-    return Handler
+        A ``dict`` payload is served as JSON, a ``str`` payload as
+        ``text/plain`` (the Prometheus exposition).
+        """
+        scheduler = self.scheduler
+        parts = urlsplit(path)
+        query = parse_qs(parts.query)
+        route = parts.path
+        if route == "/healthz":
+            return 200, {"status": "ok" if scheduler.running else "stopped"}
+        if route == "/metrics":
+            if query.get("format", [""])[0] == "prometheus":
+                return 200, scheduler.metrics.render_prometheus(queue_depth=scheduler.queue.depth())
+            snapshot = scheduler.metrics.snapshot(queue_depth=scheduler.queue.depth())
+            payload = snapshot.as_dict()
+            profile = scheduler.obs.profiler.snapshot()
+            if profile:
+                payload["profile"] = profile
+            return 200, payload
+        if route == "/levels":
+            # Grouped per model; the flat "levels" key keeps describing the
+            # default model so single-model clients see the PR-2 shape.
+            return 200, {
+                "levels": scheduler.deployment.describe(),
+                "default_model": scheduler.default_model,
+                "models": {
+                    name: deployment.describe()
+                    for name, deployment in scheduler.deployments.items()
+                },
+            }
+        if route == "/events":
+            limit = query_int(query, "limit")
+            kind = query.get("kind", [None])[0]
+            return 200, {"events": scheduler.obs.events.snapshot(limit=limit, kind=kind)}
+        if route == "/trace":
+            trace_id = query.get("trace_id", [None])[0]
+            spans = scheduler.obs.tracer.spans(trace_id=trace_id)
+            limit = query_int(query, "limit")
+            if limit is None and trace_id is None:
+                limit = 256  # bounded by default: the whole ring can be 4096 spans
+            if limit is not None and limit >= 0:
+                spans = spans[-limit:]
+            return 200, {"spans": [span.as_dict() for span in spans]}
+        return 404, {"error": f"unknown path {path!r}"}

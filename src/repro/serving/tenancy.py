@@ -18,8 +18,8 @@ from PR 4:
 
 The :data:`~repro.serving.request.DEFAULT_TENANT` tenant always exists and
 is unlimited, so single-tenant deployments need no table at all.  Quota
-rejections raise :class:`TenantQuotaExceeded` (mapped to HTTP 429 by both
-fronts) and unknown tenants raise :class:`UnknownTenant` (HTTP 403, naming
+rejections raise :class:`TenantQuotaExceeded` (mapped to HTTP 429 by the
+front) and unknown tenants raise :class:`UnknownTenant` (HTTP 403, naming
 the registered tenants).
 """
 

@@ -8,6 +8,11 @@ still exercising every pipeline stage end to end.
 
 from __future__ import annotations
 
+import http.client
+import json
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -81,3 +86,36 @@ def tiny_pipeline_result(tiny_qmodel, small_split):
         small_split.test.labels[:96],
         dse_config=DSEConfig(tau_values=[0.0, 0.01, 0.05, 0.1]),
     )
+
+
+@pytest.fixture(scope="session")
+def keep_alive_median_ms(small_split):
+    """Time sequential ``POST /predict`` calls that share one connection.
+
+    Returns ``measure(host, port, n=20) -> median ms``.  ``measure`` asserts
+    that every answer is a 200 with one class and that every request reused
+    the first one's socket (the server kept the connection alive).
+    """
+    body = json.dumps({"inputs": small_split.test.images[0].tolist()}).encode("utf-8")
+
+    def measure(host: str, port: int, n: int = 20) -> float:
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        elapsed_ms = []
+        try:
+            connection.connect()
+            sock = connection.sock
+            for _ in range(n):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/predict", body=body, headers={"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                elapsed_ms.append((time.perf_counter() - started) * 1e3)
+                assert response.status == 200 and len(payload["classes"]) == 1
+                assert connection.sock is sock, "the server closed the keep-alive connection"
+        finally:
+            connection.close()
+        return statistics.median(elapsed_ms)
+
+    return measure

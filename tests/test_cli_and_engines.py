@@ -61,6 +61,18 @@ class TestCLIParser:
         args = build_parser().parse_args(["reproduce", "--table1", "--scale", "ci"])
         assert args.table1 and args.scale == "ci"
 
+    def test_serve_front_accepts_only_thread_and_is_hidden(self, capsys):
+        # perfbench starts its server with `serve ... --front thread`.
+        args = build_parser().parse_args(["serve", "--qmodel", "q", "--front", "thread"])
+        assert args.func.__name__ == "cmd_serve"
+        with pytest.raises(SystemExit) as failure:
+            build_parser().parse_args(["serve", "--qmodel", "q", "--front", "asyncio"])
+        assert failure.value.code == 2
+        assert "invalid choice: 'asyncio'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "--front" not in capsys.readouterr().out
+
 
 @pytest.mark.slow
 class TestCLIWorkflow:

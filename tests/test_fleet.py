@@ -101,6 +101,12 @@ class TestRouting:
         names = {span["name"] for span in client.trace("caller-supplied.01")}
         assert {"route", "queue-wait", "execute"} <= names
 
+    def test_keep_alive_through_router_does_not_stall(self, fleet, keep_alive_median_ms):
+        # Both hops reuse connections (client -> router, router -> replica);
+        # with Nagle on, each waited out a delayed ACK per response.
+        median_ms = keep_alive_median_ms(fleet.router.host, fleet.router.port)
+        assert median_ms < 20.0, f"median {median_ms:.1f} ms per keep-alive request"
+
     def test_burst_spreads_over_both_replicas(self, fleet, images):
         client = HTTPClient(fleet.url, timeout_s=60.0)
 
@@ -257,15 +263,14 @@ class TestTraceIdPlumbing:
         assert sanitize_trace_id("x" * 129) is None
         assert sanitize_trace_id('quo"te') is None
 
-    @pytest.mark.parametrize("front", ["thread", "asyncio"])
-    def test_fronts_accept_incoming_trace_id(self, deployment, images, front):
-        from repro.registry import FRONTS
+    def test_server_accepts_incoming_trace_id(self, deployment, images):
         from repro.serving import Scheduler
+        from repro.serving.server import PredictionServer
 
         scheduler = Scheduler(deployment, policy="fixed", max_batch_size=8, max_wait_ms=1.0)
         scheduler.start()
         try:
-            with FRONTS.resolve(front)(scheduler, port=0) as server:
+            with PredictionServer(scheduler, port=0) as server:
                 payload = json.dumps({"inputs": images[0].tolist()}).encode("utf-8")
                 request = urllib.request.Request(
                     server.url + "/predict",

@@ -2,7 +2,7 @@
 
 Covers the deployment table (one scheduler, many models, batches never
 mixing), the tenant layer (token-bucket quotas, structured 429/403/404 on
-both HTTP fronts, weighted fair draining), the multi-deployment
+the HTTP front, weighted fair draining), the multi-deployment
 :class:`~repro.workflow.ServeStage` cache keys, the federation rollup of
 the new per-model/per-tenant blocks, and the seeded workload engine that
 drives the multi-tenant benchmarks.
@@ -23,7 +23,6 @@ import pytest
 from repro.models import build_model
 from repro.quant import quantize_model
 from repro.serving import (
-    AsyncPredictionServer,
     Client,
     Deployment,
     FixedPolicy,
@@ -362,22 +361,18 @@ class TestSchedulerQuotas:
             request.result(timeout=60.0)
 
 
-# --------------------------------------------------------------------------- HTTP fronts
-@pytest.mark.parametrize("front_cls", [PredictionServer, AsyncPredictionServer],
-                         ids=["thread", "asyncio"])
-class TestStructuredErrorsOnBothFronts:
+# --------------------------------------------------------------------------- HTTP front
+class TestStructuredHTTPErrors:
     def _scheduler(self, deployment, micro_deployment):
         tenants = TenantTable([
             TenantConfig(name="free", rate_limit_rps=0.001, burst=1),
         ])
         return Scheduler([deployment, micro_deployment], tenants=tenants)
 
-    def test_unknown_model_is_a_structured_404(
-        self, front_cls, deployment, micro_deployment, small_split
-    ):
+    def test_unknown_model_is_a_structured_404(self, deployment, micro_deployment, small_split):
         x = small_split.test.images[0]
         with self._scheduler(deployment, micro_deployment) as scheduler:
-            with front_cls(scheduler, port=0) as server:
+            with PredictionServer(scheduler, port=0) as server:
                 status, body, _ = _post(server.url, {
                     "inputs": x.tolist(), "model": "resnet",
                 })
@@ -385,12 +380,10 @@ class TestStructuredErrorsOnBothFronts:
         assert body["model"] == "resnet"
         assert body["available_models"] == sorted(["tiny_cnn", micro_deployment.qmodel.name])
 
-    def test_unknown_tenant_is_a_structured_403(
-        self, front_cls, deployment, micro_deployment, small_split
-    ):
+    def test_unknown_tenant_is_a_structured_403(self, deployment, micro_deployment, small_split):
         x = small_split.test.images[0]
         with self._scheduler(deployment, micro_deployment) as scheduler:
-            with front_cls(scheduler, port=0) as server:
+            with PredictionServer(scheduler, port=0) as server:
                 status, body, _ = _post(server.url, {
                     "inputs": x.tolist(), "tenant": "ghost",
                 })
@@ -398,12 +391,10 @@ class TestStructuredErrorsOnBothFronts:
         assert body["tenant"] == "ghost"
         assert body["registered_tenants"] == ["default", "free"]
 
-    def test_quota_429_carries_reason_and_retry_after(
-        self, front_cls, deployment, micro_deployment, small_split
-    ):
+    def test_quota_429_carries_reason_and_retry_after(self, deployment, micro_deployment, small_split):
         x = small_split.test.images[0]
         with self._scheduler(deployment, micro_deployment) as scheduler:
-            with front_cls(scheduler, port=0) as server:
+            with PredictionServer(scheduler, port=0) as server:
                 status, body, _ = _post(server.url, {"inputs": x.tolist(), "tenant": "free"})
                 assert status == 200
                 status, body, headers = _post(
@@ -414,12 +405,10 @@ class TestStructuredErrorsOnBothFronts:
         assert body["retry_after_s"] > 0
         assert float(headers["Retry-After"]) >= 1
 
-    def test_predict_echoes_model_and_tenant(
-        self, front_cls, deployment, micro_deployment, small_split
-    ):
+    def test_predict_echoes_model_and_tenant(self, deployment, micro_deployment, small_split):
         x = small_split.test.images[0]
         with self._scheduler(deployment, micro_deployment) as scheduler:
-            with front_cls(scheduler, port=0) as server:
+            with PredictionServer(scheduler, port=0) as server:
                 status, body, _ = _post(server.url, {"inputs": x.tolist()})
         assert status == 200
         assert body["model"] == "tiny_cnn"

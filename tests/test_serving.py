@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import pickle
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -675,11 +679,13 @@ class TestHTTPServer:
                 client = HTTPClient(server.url)
                 assert client.health() == "ok"
                 np.testing.assert_array_equal(client.predict_classes(xs), expected)
-                # A single un-batched sample is accepted too.
-                single = client.predict(xs[0])
+                # A single un-batched sample is accepted too, priority tag included.
+                single = client.predict(xs[0], priority="interactive")
                 assert single["classes"] == [int(expected[0])]
+                assert single["priority"] == "interactive"
                 metrics = client.metrics()
                 assert metrics["requests_completed"] >= 7
+                assert metrics["per_priority"]["interactive"]["completed"] == 1
                 levels = client.levels()
                 assert [entry["name"] for entry in levels] == [
                     level.name for level in deployment.levels
@@ -688,13 +694,9 @@ class TestHTTPServer:
     def test_http_rejects_bad_inputs(self, deployment):
         with Scheduler(deployment) as scheduler:
             with PredictionServer(scheduler, port=0) as server:
-                import json
-                import urllib.error
-                import urllib.request
-
-                def post(body: bytes):
+                def post(body: bytes, path: str = "/predict"):
                     request = urllib.request.Request(
-                        server.url + "/predict", data=body,
+                        server.url + path, data=body,
                         headers={"Content-Type": "application/json"}, method="POST",
                     )
                     try:
@@ -704,9 +706,46 @@ class TestHTTPServer:
                         return error.code, json.loads(error.read())
 
                 assert post(b"not json")[0] == 400
+                assert post(b"[1, 2]")[0] == 400
                 assert post(b"{}")[0] == 400
                 status, payload = post(json.dumps({"inputs": [[1, 2], [3, 4]]}).encode())
                 assert status == 400 and "shape" in payload["error"]
+                sample = np.zeros(deployment.qmodel.input_shape, np.float32).tolist()
+                status, payload = post(json.dumps({"inputs": sample, "priority": "vip"}).encode())
+                assert status == 400 and "priority" in payload["error"]
+                assert post(json.dumps({"inputs": sample, "timeout_ms": -1}).encode())[0] == 400
+                assert post(b'{"inputs": []}', path="/nope")[0] == 404
+
+    def test_keep_alive_serves_requests_without_stall(self, deployment, keep_alive_median_ms):
+        # Regression: the handler writes headers and body separately; with
+        # Nagle on, every response on a reused connection waited out the
+        # client's delayed ACK (~40 ms).
+        with Scheduler(deployment, policy="fixed", max_batch_size=8, max_wait_ms=1.0) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                median_ms = keep_alive_median_ms(server.host, server.port)
+        assert median_ms < 20.0, f"median {median_ms:.1f} ms per keep-alive request"
+
+    def test_unread_error_body_does_not_desync_keepalive(self, deployment, small_split):
+        # Regression: a POST with a body to an unknown path must not leave the
+        # body bytes in the stream -- the next request on the same keep-alive
+        # connection would be parsed out of the middle of it.
+        body = json.dumps({"inputs": small_split.test.images[0].tolist()}).encode()
+        headers = {"Content-Type": "application/json"}
+        with Scheduler(deployment) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+                try:
+                    connection.request("POST", "/predictt", body=body, headers=headers)
+                    response = connection.getresponse()
+                    assert response.status == 404
+                    response.read()
+                    # Same socket: the follow-up valid request must succeed.
+                    connection.request("POST", "/predict", body=body, headers=headers)
+                    response = connection.getresponse()
+                    assert response.status == 200
+                    assert len(json.loads(response.read())["classes"]) == 1
+                finally:
+                    connection.close()
 
 
 # --------------------------------------------------------------------------- workflow integration
