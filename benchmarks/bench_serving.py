@@ -13,9 +13,6 @@ Five questions:
 * does the adaptive policy actually move along the Pareto front under a load
   ramp, and what does that save in simulated MCU cycles?
 
-Plus the hot-path satellite: the im2col scratch-buffer reuse inside
-``QuantizedModel.predict_classes``, measured off vs on.
-
 Headline numbers land in ``benchmarks/results/serving.json`` for the CI
 perf-regression gate (``benchmarks/check_regression.py``).
 """
@@ -39,7 +36,6 @@ from repro.serving import (
     ReplicaConfig,
     Scheduler,
 )
-from repro.quant.qlayers import set_im2col_scratch
 
 from bench_utils import record_json, record_result
 from repro.evaluation.reports import format_table
@@ -426,64 +422,6 @@ def test_bench_mixed_priority_burst(lenet_serving):
     assert stats["interactive"]["completed"] == n_interactive
     assert interactive_p95 < batch_p95, (
         f"interactive p95 {interactive_p95:.1f} ms not below batch p95 {batch_p95:.1f} ms"
-    )
-
-
-def test_bench_predict_classes_scratch_reuse(lenet_serving):
-    """im2col buffer strategy on the batch hot path: allocator vs dedicated scratch.
-
-    Records both modes of :func:`repro.quant.qlayers.set_im2col_scratch`.
-    The measured outcome on this container is the *reason the default is
-    off*: NumPy's caching allocator already recycles one layer's just-freed
-    patch buffer into the next layer's allocations, and pinning a dedicated
-    buffer per layer fragments that recycling (slightly slower once the
-    working set outgrows the cache).  No assertion on the ratio -- the table
-    documents the trade on whatever host runs the suite.
-    """
-    qmodel = lenet_serving["qmodel"]
-    images = lenet_serving["images"]
-    xs = images[np.arange(512) % len(images)]
-
-    def measure():
-        qmodel.predict_classes(xs[:64], batch_size=64)  # warm-up / allocate
-        started = time.perf_counter()
-        predictions = qmodel.predict_classes(xs, batch_size=64)
-        return time.perf_counter() - started, predictions
-
-    # Interleaved best-of-3 per mode: robust against noisy-neighbour minutes.
-    seconds_default = seconds_scratch = float("inf")
-    predictions_default = predictions_scratch = None
-    for _ in range(3):
-        elapsed, predictions_default = measure()
-        seconds_default = min(seconds_default, elapsed)
-        previous = set_im2col_scratch(True)
-        try:
-            elapsed, predictions_scratch = measure()
-            seconds_scratch = min(seconds_scratch, elapsed)
-        finally:
-            set_im2col_scratch(previous)
-    np.testing.assert_array_equal(predictions_default, predictions_scratch)
-
-    rows = [
-        {
-            "im2col buffers": "allocator recycling (default)",
-            "wall (s)": seconds_default,
-            "images/s": len(xs) / seconds_default,
-        },
-        {
-            "im2col buffers": "dedicated per-layer scratch",
-            "wall (s)": seconds_scratch,
-            "images/s": len(xs) / seconds_scratch,
-        },
-        {
-            "im2col buffers": "scratch/default ratio",
-            "wall (s)": "",
-            "images/s": seconds_default / seconds_scratch,
-        },
-    ]
-    record_result(
-        "predict_classes_scratch",
-        format_table(rows, title="predict_classes: im2col buffer strategy (LeNet, batch 64)"),
     )
 
 

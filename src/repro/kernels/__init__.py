@@ -7,6 +7,8 @@ saturation.  Kernels also report *operation counts* through
 :class:`repro.kernels.cycle_counters.KernelStats`, which the instruction cost
 model in :mod:`repro.isa` converts into cycle estimates for a given execution
 style (packed CMSIS code vs the paper's unpacked fixed-weight code).
+Every conv and dense forward runs a prepared :class:`GemmPlan` through
+:func:`execute_gemm` (:mod:`repro.kernels.gemm`).
 """
 
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
@@ -17,6 +19,7 @@ from repro.kernels.smlad import (
     pack_weight_vector,
 )
 from repro.kernels.im2col import im2col_s8
+from repro.kernels.gemm import GemmPlan, execute_gemm
 from repro.kernels.conv_s8 import convolve_s8
 from repro.kernels.fully_connected_s8 import fully_connected_s8
 from repro.kernels.pooling_s8 import avg_pool_s8, max_pool_s8
@@ -30,6 +33,8 @@ __all__ = [
     "pack_weight_vector",
     "smlad",
     "im2col_s8",
+    "GemmPlan",
+    "execute_gemm",
     "convolve_s8",
     "fully_connected_s8",
     "max_pool_s8",

@@ -3,7 +3,9 @@
 The kernel follows the CMSIS-NN dataflow: im2col patch extraction, a matrix
 multiplication between int8 patches and int8 filter weights with int32
 accumulation, bias addition, per-channel requantization, activation clamping
-and saturation to int8.
+and saturation to int8.  It prepares a :class:`~repro.kernels.gemm.GemmPlan`
+per call and runs it with :func:`~repro.kernels.gemm.execute_gemm`: the
+counted reference the DSE, the cost model and VM verification run against.
 
 Two features go beyond the stock kernel and exist for the paper's framework:
 
@@ -22,10 +24,29 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.accumulate import exact_matmul_dtype
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
-from repro.kernels.im2col import im2col_s8
-from repro.nn.functional import conv_output_shape
+from repro.kernels.gemm import GemmPlan, execute_gemm, mask_and_fold, prepare_gemm
+
+
+def prepare_conv_s8(
+    weights: np.ndarray,
+    bias: Optional[np.ndarray],
+    input_zero_point: int,
+    output_zero_point: int,
+    output_multipliers: np.ndarray,
+    stride: Tuple[int, int] = (1, 1),
+    padding: Tuple[int, int] = (0, 0),
+    activation_min: int = -128,
+    activation_max: int = 127,
+    weight_mask: Optional[np.ndarray] = None,
+) -> GemmPlan:
+    """The :class:`GemmPlan` :func:`convolve_s8` runs for these arguments."""
+    out_c, kh, kw, _ = weights.shape
+    w_mat, init = mask_and_fold(weights.reshape(out_c, -1), bias, input_zero_point, weight_mask)
+    return prepare_gemm(
+        w_mat, init, output_multipliers, output_zero_point, activation_min, activation_max,
+        kernel_size=(kh, kw), stride=stride, padding=padding, input_zero_point=input_zero_point,
+    )
 
 
 def convolve_s8(
@@ -42,7 +63,6 @@ def convolve_s8(
     weight_mask: Optional[np.ndarray] = None,
     counter: Optional[CycleCounter] = None,
     section: str = "conv",
-    cols_out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Quantized 2-D convolution.
 
@@ -69,10 +89,6 @@ def convolve_s8(
         Optional boolean ``(Cout, kh*kw*Cin)`` retention mask.
     counter, section:
         Optional operation counter and section name.
-    cols_out:
-        Optional preallocated im2col destination (see
-        :func:`~repro.kernels.im2col.im2col_s8`); lets repeated same-shaped
-        calls reuse one scratch buffer.
 
     Returns
     -------
@@ -83,73 +99,25 @@ def convolve_s8(
     weights = np.asarray(weights)
     if x.dtype != np.int8 or weights.dtype != np.int8:
         raise TypeError("convolve_s8 expects int8 activations and weights")
-    n, in_h, in_w, in_c = x.shape
-    out_c, kh, kw, w_in_c = weights.shape
-    if w_in_c != in_c:
-        raise ValueError(f"channel mismatch: input {in_c} vs weights {w_in_c}")
-    out_h, out_w = conv_output_shape(in_h, in_w, (kh, kw), stride, padding)
-    k = kh * kw * in_c
-
-    w_mat = weights.reshape(out_c, k).astype(np.int64)
-    if weight_mask is not None:
-        weight_mask = np.asarray(weight_mask, dtype=bool)
-        if weight_mask.shape != (out_c, k):
-            raise ValueError(
-                f"weight_mask shape {weight_mask.shape} must be ({out_c}, {k})"
-            )
-        w_mat = w_mat * weight_mask
-
-    # The accumulation runs through BLAS in the cheapest float dtype whose
-    # mantissa provably holds the worst-case int8xint8 accumulator (see
-    # repro.kernels.accumulate), so the patches are widened straight to that
-    # dtype -- no intermediate int32 patch matrix, no post-matmul conversion.
-    compute_dtype = exact_matmul_dtype(k)
-    cols = im2col_s8(
-        x, (kh, kw), stride, padding, input_zero_point, out=cols_out, dtype=compute_dtype
+    plan = prepare_conv_s8(
+        weights, bias, input_zero_point, output_zero_point, output_multipliers,
+        stride, padding, activation_min, activation_max, weight_mask,
     )
-    cols_flat = cols.reshape(n * out_h * out_w, k)
-
-    # acc[p, c] = sum_i w[c, i] * (x[p, i] - in_zp)
-    #           = (cols @ w.T)[p, c] - in_zp * sum_i w[c, i]
-    # Every value below is an exactly-represented integer; the arithmetic is
-    # carried out in float64 from the accumulator on, which is lossless
-    # (< 2**53) and feeds np.rint the same numbers the int64 path produced.
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.int64)
-        if bias.shape != (out_c,):
-            raise ValueError(f"bias must have shape ({out_c},), got {bias.shape}")
-    acc = (cols_flat @ w_mat.T.astype(compute_dtype)).astype(np.float64, copy=False)
-    # One per-channel additive pass: bias minus the input-offset correction.
-    combined = -float(input_zero_point) * w_mat.sum(axis=1).astype(np.float64)
-    if bias is not None:
-        combined += bias.astype(np.float64)
-    acc += combined[None, :]
-
-    # Fused requantize/offset/clamp, in place on the accumulator, with the
-    # clamp casting straight into the int8 output buffer: numerically
-    # identical to requantize_float + offset + clip (every intermediate is an
-    # exactly-represented integer) without the int64 round trip and its
-    # extra full-array passes.
-    multipliers = np.broadcast_to(np.asarray(output_multipliers, dtype=np.float64), (out_c,))
-    acc *= multipliers[None, :]
-    np.rint(acc, out=acc)
-    acc += float(output_zero_point)
-    out = np.empty(acc.shape, dtype=np.int8)
-    np.clip(acc, activation_min, activation_max, out=out, casting="unsafe")
-    out = out.reshape(n, out_h, out_w, out_c)
+    out = execute_gemm(plan, x)
 
     if counter is not None:
-        retained = int(weight_mask.sum()) if weight_mask is not None else out_c * k
-        patches = n * out_h * out_w
+        k, out_c = plan.weights.shape
+        retained = int(np.count_nonzero(weight_mask)) if weight_mask is not None else out_c * k
+        patches = out.size // out_c
         counter.record(
             section,
             KernelStats(
                 macs=patches * retained,
                 macs_skipped=patches * (out_c * k - retained),
-                output_elements=patches * out_c,
+                output_elements=out.size,
                 patch_elements=patches * k,
-                input_elements=n * in_h * in_w * in_c,
-                bias_loads=patches * out_c,
+                input_elements=x.size,
+                bias_loads=out.size,
             ),
         )
     return out

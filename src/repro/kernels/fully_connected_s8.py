@@ -1,4 +1,4 @@
-"""int8 fully-connected kernel (analogue of ``arm_fully_connected_s8``)."""
+"""int8 fully-connected kernel (analogue of ``arm_fully_connected_s8``); prepares and runs a ``GemmPlan``."""
 
 from __future__ import annotations
 
@@ -6,8 +6,25 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.accumulate import exact_matmul_dtype
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
+from repro.kernels.gemm import GemmPlan, execute_gemm, mask_and_fold, prepare_gemm
+
+
+def prepare_fully_connected_s8(
+    weights: np.ndarray,
+    bias: Optional[np.ndarray],
+    input_zero_point: int,
+    output_zero_point: int,
+    output_multipliers: np.ndarray,
+    activation_min: int = -128,
+    activation_max: int = 127,
+    weight_mask: Optional[np.ndarray] = None,
+) -> GemmPlan:
+    """The :class:`GemmPlan` :func:`fully_connected_s8` runs for these arguments."""
+    w_mat, init = mask_and_fold(weights.T, bias, input_zero_point, weight_mask)
+    return prepare_gemm(
+        w_mat, init, output_multipliers, output_zero_point, activation_min, activation_max
+    )
 
 
 def fully_connected_s8(
@@ -44,50 +61,21 @@ def fully_connected_s8(
     weights = np.asarray(weights)
     if x.dtype != np.int8 or weights.dtype != np.int8:
         raise TypeError("fully_connected_s8 expects int8 activations and weights")
-    if x.ndim != 2:
-        raise ValueError(f"input must be 2-D, got shape {x.shape}")
-    in_features, out_features = weights.shape
-    if x.shape[1] != in_features:
-        raise ValueError(f"feature mismatch: input {x.shape[1]} vs weights {in_features}")
-
-    w_mat = weights.astype(np.int64)
-    if weight_mask is not None:
-        weight_mask = np.asarray(weight_mask, dtype=bool)
-        if weight_mask.shape != (out_features, in_features):
-            raise ValueError(
-                f"weight_mask shape {weight_mask.shape} must be ({out_features}, {in_features})"
-            )
-        w_mat = w_mat * weight_mask.T
-
-    # Same exact-float accumulation + fused requantize as the conv kernel
-    # (see convolve_s8): BLAS matmul in the cheapest provably-exact float
-    # dtype, one combined bias/offset pass, clamp casting into int8.
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.int64)
-        if bias.shape != (out_features,):
-            raise ValueError(f"bias must have shape ({out_features},), got {bias.shape}")
-    compute_dtype = exact_matmul_dtype(in_features)
-    acc = (x.astype(compute_dtype) @ w_mat.astype(compute_dtype)).astype(np.float64, copy=False)
-    combined = -float(input_zero_point) * w_mat.sum(axis=0).astype(np.float64)
-    if bias is not None:
-        combined += bias.astype(np.float64)
-    acc += combined[None, :]
-
-    multipliers = np.broadcast_to(np.asarray(output_multipliers, dtype=np.float64), (out_features,))
-    acc *= multipliers[None, :]
-    np.rint(acc, out=acc)
-    acc += float(output_zero_point)
-    out = np.empty(acc.shape, dtype=np.int8)
-    np.clip(acc, activation_min, activation_max, out=out, casting="unsafe")
+    plan = prepare_fully_connected_s8(
+        weights, bias, input_zero_point, output_zero_point, output_multipliers,
+        activation_min, activation_max, weight_mask,
+    )
+    out = execute_gemm(plan, x)
 
     if counter is not None:
-        n = x.shape[0]
-        retained = int(weight_mask.sum()) if weight_mask is not None else in_features * out_features
+        (n, in_features), out_features = x.shape, out.shape[1]
+        slots = in_features * out_features
+        retained = int(np.count_nonzero(weight_mask)) if weight_mask is not None else slots
         counter.record(
             section,
             KernelStats(
                 macs=n * retained,
-                macs_skipped=n * (in_features * out_features - retained),
+                macs_skipped=n * (slots - retained),
                 output_elements=n * out_features,
                 input_elements=n * in_features,
                 bias_loads=n * out_features,

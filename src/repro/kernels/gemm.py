@@ -1,0 +1,141 @@
+"""The prepared int8 GEMM: one plan type and one executor for every MAC layer.
+
+A :class:`GemmPlan` bakes a layer's retained operands in once, as the
+paper's generated kernels do: masked weights cast to the cheapest float
+dtype that accumulates them exactly
+(:func:`~repro.kernels.accumulate.exact_matmul_dtype`) and the input-offset
+correction folded into one init vector.  :func:`execute_gemm` runs a
+convolution over cache-sized blocks of whole images (im2col, one BLAS
+product, the epilogue straight into the block's int8 output) and a dense
+layer as one product.  Values stay exact integers until the float64
+multiply, so results are bit-identical to the int64 reference dataflow.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.kernels.accumulate import exact_matmul_dtype
+from repro.kernels.im2col import im2col_s8
+from repro.nn.functional import conv_output_shape, pad_nhwc
+
+#: Output positions (images x out_h x out_w) one convolution block covers;
+#: a block holds whole images, at least one.
+BLOCK_POSITIONS = 1024
+
+
+@dataclass
+class GemmPlan:
+    """The constant execution data of one MAC layer under one retention mask.
+
+    ``weights`` is the C-contiguous ``(K, Cout)`` retained weight matrix in
+    ``exact_matmul_dtype(K)``; ``init`` (float64) is each channel's
+    ``bias - zp_in * sum(retained w)``.  ``kernel_size`` is ``None`` for a
+    dense layer; a convolution pads with ``input_zero_point``, which the
+    folded init cancels.
+    """
+
+    weights: np.ndarray
+    init: np.ndarray
+    multipliers: np.ndarray
+    output_zero_point: int
+    activation_min: int
+    activation_max: int
+    kernel_size: Optional[Tuple[int, int]] = None
+    stride: Tuple[int, int] = (1, 1)
+    padding: Tuple[int, int] = (0, 0)
+    input_zero_point: int = 0
+
+
+def mask_and_fold(
+    weights: np.ndarray,
+    bias: Optional[np.ndarray],
+    input_zero_point: int,
+    weight_mask: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Masked int64 ``(Cout, K)`` weights and the folded init ``bias - zp_in * sum(w)``."""
+    w_mat = weights.astype(np.int64)
+    if weight_mask is not None:
+        weight_mask = np.asarray(weight_mask, dtype=bool)
+        if weight_mask.shape != w_mat.shape:
+            raise ValueError(f"weight_mask shape {weight_mask.shape} must be {w_mat.shape}")
+        w_mat *= weight_mask
+    init = -int(input_zero_point) * w_mat.sum(axis=1)
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.int64)
+        if bias.shape != init.shape:
+            raise ValueError(f"bias must have shape {init.shape}, got {bias.shape}")
+        init += bias
+    return w_mat, init
+
+
+def prepare_gemm(
+    w_mat: np.ndarray,
+    init_acc: np.ndarray,
+    multipliers: np.ndarray,
+    output_zero_point: int,
+    activation_min: int,
+    activation_max: int,
+    kernel_size: Optional[Tuple[int, int]] = None,
+    stride: Tuple[int, int] = (1, 1),
+    padding: Tuple[int, int] = (0, 0),
+    input_zero_point: int = 0,
+) -> GemmPlan:
+    """Build a plan from masked integer ``(Cout, K)`` weights and the folded int64 init."""
+    out_c, k = w_mat.shape
+    return GemmPlan(
+        weights=np.ascontiguousarray(w_mat.T, dtype=exact_matmul_dtype(k)),
+        init=np.asarray(init_acc, dtype=np.float64),
+        multipliers=np.broadcast_to(np.asarray(multipliers, dtype=np.float64), (out_c,)).copy(),
+        output_zero_point=int(output_zero_point),
+        activation_min=int(activation_min),
+        activation_max=int(activation_max),
+        kernel_size=kernel_size,
+        stride=stride,
+        padding=padding,
+        input_zero_point=int(input_zero_point),
+    )
+
+
+def _gemm_into(plan: GemmPlan, operands: np.ndarray, out: np.ndarray) -> None:
+    """``out = clip(rint((operands @ W + init) * m) + zp)`` for one block."""
+    acc = (operands @ plan.weights).astype(np.float64, copy=False)
+    acc += plan.init
+    acc *= plan.multipliers
+    np.rint(acc, out=acc)
+    acc += float(plan.output_zero_point)
+    np.clip(acc, plan.activation_min, plan.activation_max, out=out, casting="unsafe")
+
+
+def execute_gemm(plan: GemmPlan, x: np.ndarray) -> np.ndarray:
+    """Run a plan on an int8 input: NHWC for a convolution, ``(N, K)`` for dense."""
+    x = np.asarray(x)
+    if x.dtype != np.int8:
+        raise TypeError(f"execute_gemm expects int8 input, got {x.dtype}")
+    k, out_c = plan.weights.shape
+    if plan.kernel_size is None:
+        if x.ndim != 2 or x.shape[1] != k:
+            raise ValueError(f"dense plan expects input (N, {k}), got shape {x.shape}")
+        out = np.empty((x.shape[0], out_c), dtype=np.int8)
+        _gemm_into(plan, x.astype(plan.weights.dtype), out)
+        return out
+
+    kh, kw = plan.kernel_size
+    if x.ndim != 4 or x.shape[3] * kh * kw != k:
+        raise ValueError(f"conv plan expects NHWC input with {k // (kh * kw)} channels, got {x.shape}")
+    n, in_h, in_w, _ = x.shape
+    out_h, out_w = conv_output_shape(in_h, in_w, plan.kernel_size, plan.stride, plan.padding)
+    out = np.empty((n, out_h, out_w, out_c), dtype=np.int8)
+    flat = out.reshape(-1, out_c)
+    xp = pad_nhwc(x, plan.padding, value=plan.input_zero_point)  # pad once, window per block
+    per_image = out_h * out_w
+    step = max(1, BLOCK_POSITIONS // per_image)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        cols = im2col_s8(xp[start:stop], plan.kernel_size, plan.stride, (0, 0),
+                         plan.input_zero_point, dtype=plan.weights.dtype)
+        _gemm_into(plan, cols.reshape(-1, k), flat[start * per_image : stop * per_image])
+    return out

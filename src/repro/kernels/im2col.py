@@ -1,8 +1,12 @@
-"""int8 im2col with zero-point padding (the q7 analogue of ``arm_nn_mat_mult`` setup)."""
+"""int8 im2col with zero-point padding (the q7 analogue of ``arm_nn_mat_mult`` setup).
+
+The GEMM executor (:func:`~repro.kernels.gemm.execute_gemm`) calls it once per
+cache-sized block of images, never for a whole batch.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -15,7 +19,6 @@ def im2col_s8(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
     input_zero_point: int,
-    out: Optional[np.ndarray] = None,
     dtype: np.dtype = np.int32,
 ) -> np.ndarray:
     """Extract int8 convolution patches, padding with the input zero point.
@@ -26,24 +29,11 @@ def im2col_s8(
 
     Returns an array of shape ``(N, out_h, out_w, kh*kw*C)`` holding the int8
     patch values widened to ``dtype`` (int32 by default, so downstream
-    accumulation never overflows int8 arithmetic; the convolution kernel
-    requests the float dtype its exact BLAS accumulation uses).  The widening
-    happens while gathering the patches -- the input is padded in int8 and
-    each strided window is copied once, directly into the destination -- so
-    no intermediate widened copy of the whole feature map is ever
-    materialised.
-
-    Parameters
-    ----------
-    out:
-        Optional preallocated destination: a C-contiguous array of the result
-        shape and ``dtype``.  When it matches, patches are written in place
-        and ``out`` is returned -- callers running many same-shaped batches
-        (the serving hot path) reuse one scratch buffer instead of allocating
-        per batch.  A mismatched ``out`` is ignored and a fresh array
-        returned.
-    dtype:
-        Destination dtype of the widened patch values.
+    accumulation never overflows int8 arithmetic; the GEMM executor requests
+    the float dtype its exact BLAS accumulation uses).  The widening happens
+    while gathering the patches -- the input is padded in int8 and each
+    strided window is copied once, directly into the destination -- so no
+    intermediate widened copy of the whole feature map is ever materialised.
     """
     x = np.asarray(x)
     if x.dtype != np.int8:
@@ -67,12 +57,7 @@ def im2col_s8(
         strides=(s[0], s[1] * sh, s[2] * sw, s[1], s[2], s[3]),
         writeable=False,
     )
-    dtype = np.dtype(dtype)
-    shape = (n, out_h, out_w, kh * kw * in_c)
-    if out is not None and out.shape == shape and out.dtype == dtype and out.flags["C_CONTIGUOUS"]:
-        cols = out
-    else:
-        cols = np.empty(shape, dtype=dtype)
+    cols = np.empty((n, out_h, out_w, kh * kw * in_c), dtype=dtype)
     # One gather+widen pass: int8 windows -> widened patch matrix.
     np.copyto(cols.reshape(n, out_h, out_w, kh, kw, in_c), windows, casting="unsafe")
     return cols

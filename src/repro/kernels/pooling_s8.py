@@ -17,16 +17,19 @@ def max_pool_s8(
     counter: Optional[CycleCounter] = None,
     section: str = "max_pool",
 ) -> np.ndarray:
-    """int8 max pooling over NHWC input."""
+    """int8 max pooling over NHWC input: a ``np.maximum`` chain over strided int8 views."""
     x = np.asarray(x)
     if x.dtype != np.int8:
         raise TypeError("max_pool_s8 expects int8 input")
     n, in_h, in_w, c = x.shape
     kh, kw = kernel
+    sh, sw = stride
     out_h, out_w = F.conv_output_shape(in_h, in_w, kernel, stride, (0, 0))
-    cols = F.im2col(x.astype(np.int32), kernel, stride, (0, 0), pad_value=-128)
-    cols = cols.reshape(n, out_h, out_w, kh * kw, c)
-    out = cols.max(axis=3).astype(np.int8)
+    h_span, w_span = sh * (out_h - 1) + 1, sw * (out_w - 1) + 1
+    out = x[:, :h_span:sh, :w_span:sw].copy()
+    for i, j in np.ndindex(kh, kw):
+        if i or j:
+            np.maximum(out, x[:, i : i + h_span : sh, j : j + w_span : sw], out=out)
 
     if counter is not None:
         counter.record(

@@ -1,4 +1,8 @@
-"""Quantized layer executors built on the CMSIS-NN-style kernels."""
+"""Quantized layer executors built on the CMSIS-NN-style kernels.
+
+A MAC layer's ``prepare(mask)`` returns the :class:`~repro.kernels.gemm.GemmPlan`
+its counted ``forward`` prepares per call; layers cache nothing.
+"""
 
 from __future__ import annotations
 
@@ -6,48 +10,26 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.accumulate import exact_matmul_dtype
 from repro.kernels.activations_s8 import relu_s8
-from repro.kernels.conv_s8 import convolve_s8
+from repro.kernels.conv_s8 import convolve_s8, prepare_conv_s8
 from repro.kernels.cycle_counters import CycleCounter
-from repro.kernels.fully_connected_s8 import fully_connected_s8
+from repro.kernels.fully_connected_s8 import fully_connected_s8, prepare_fully_connected_s8
+from repro.kernels.gemm import GemmPlan
 from repro.kernels.pooling_s8 import avg_pool_s8, max_pool_s8
 from repro.nn.functional import conv_output_shape
 from repro.quant.schemes import QuantizationParams
 
-#: Global toggle for dedicated per-layer im2col scratch buffers (see
-#: :func:`set_im2col_scratch`).
-_IM2COL_SCRATCH_ENABLED = False
 
-
-def set_im2col_scratch(enabled: bool) -> bool:
-    """En/disable dedicated im2col scratch buffers; returns the previous setting.
-
-    With this on, every conv layer keeps a preallocated im2col destination
-    and repeated same-shaped forward passes (the serving and evaluation hot
-    paths) run allocation-free in the im2col step.  It is OFF by default:
-    measured on the serving benchmark, NumPy's caching allocator already
-    recycles the just-freed patch buffer of one layer into the next layer's
-    allocations, and pinning a dedicated buffer per layer fragments that
-    recycling and runs a few percent *slower* once the working set outgrows
-    the cache (`benchmarks/bench_serving.py` records both modes).  The
-    toggle remains for experimentation on hosts with different allocator or
-    cache behaviour.
-
-    The buffers are per-layer, so a model instance must not run ``forward``
-    from multiple threads concurrently while enabled -- the serving
-    scheduler executes on a single core thread (worker replicas are separate
-    processes), so this holds throughout the toolkit.
-    """
-    global _IM2COL_SCRATCH_ENABLED
-    previous = _IM2COL_SCRATCH_ENABLED
-    _IM2COL_SCRATCH_ENABLED = bool(enabled)
-    return previous
-
-
-def im2col_scratch_enabled() -> bool:
-    """Whether conv layers reuse their im2col scratch buffers."""
-    return _IM2COL_SCRATCH_ENABLED
+def _requant_args(layer) -> dict:
+    """A MAC layer's bias, zero points, multipliers and clamp, as kernel arguments."""
+    return dict(
+        bias=layer.bias,
+        input_zero_point=layer.input_params.scalar_zero_point(),
+        output_zero_point=layer.output_params.scalar_zero_point(),
+        output_multipliers=layer.output_multipliers,
+        activation_min=layer.activation_min,
+        activation_max=layer.activation_max,
+    )
 
 
 class QLayer:
@@ -139,36 +121,6 @@ class QConv2D(QLayer):
         self.output_multipliers = (in_scale * self.weight_params.scale / out_scale).astype(np.float64)
         self.activation_min = output_params.scalar_zero_point() if fused_relu else -128
         self.activation_max = 127
-        #: im2col scratch reused across same-shaped batches (never pickled).
-        self._cols_scratch: Optional[np.ndarray] = None
-
-    def __getstate__(self):
-        # The scratch buffer is transient working memory; keeping it out of
-        # the pickle stream keeps serialized models small and -- crucially --
-        # keeps content fingerprints (which hash the pickle bytes) identical
-        # before and after a forward pass.
-        state = self.__dict__.copy()
-        state["_cols_scratch"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Layers pickled before the scratch buffer existed restore without it.
-        self.__dict__.setdefault("_cols_scratch", None)
-
-    def _cols_buffer(self, x_shape: Tuple[int, ...]) -> Optional[np.ndarray]:
-        """The reusable im2col destination for this input shape (or ``None``)."""
-        if not _IM2COL_SCRATCH_ENABLED:
-            return None
-        n, in_h, in_w, _ = x_shape
-        out_h, out_w = conv_output_shape(in_h, in_w, self.kernel_size, self.stride, self.padding)
-        shape = (n, out_h, out_w, self.operands_per_channel)
-        dtype = exact_matmul_dtype(self.operands_per_channel)
-        buf = self._cols_scratch
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            self._cols_scratch = buf
-        return buf
 
     @property
     def out_channels(self) -> int:
@@ -190,22 +142,17 @@ class QConv2D(QLayer):
         """K = kh*kw*Cin, the number of operands of each output-channel accumulation."""
         return int(np.prod(self.weights.shape[1:]))
 
+    def prepare(self, weight_mask: Optional[np.ndarray] = None) -> GemmPlan:
+        """The layer's execution plan under one retention mask."""
+        return prepare_conv_s8(
+            self.weights, stride=self.stride, padding=self.padding, weight_mask=weight_mask,
+            **_requant_args(self),
+        )
+
     def forward(self, x, weight_mask=None, counter=None):
         return convolve_s8(
-            x,
-            self.weights,
-            self.bias,
-            input_zero_point=self.input_params.scalar_zero_point(),
-            output_zero_point=self.output_params.scalar_zero_point(),
-            output_multipliers=self.output_multipliers,
-            stride=self.stride,
-            padding=self.padding,
-            activation_min=self.activation_min,
-            activation_max=self.activation_max,
-            weight_mask=weight_mask,
-            counter=counter,
-            section=self.name,
-            cols_out=self._cols_buffer(np.asarray(x).shape),
+            x, self.weights, stride=self.stride, padding=self.padding, weight_mask=weight_mask,
+            counter=counter, section=self.name, **_requant_args(self),
         )
 
     def output_shape(self, input_shape):
@@ -261,19 +208,14 @@ class QDense(QLayer):
         """Output feature count."""
         return int(self.weights.shape[1])
 
+    def prepare(self, weight_mask: Optional[np.ndarray] = None) -> GemmPlan:
+        """The layer's execution plan under one retention mask."""
+        return prepare_fully_connected_s8(self.weights, weight_mask=weight_mask, **_requant_args(self))
+
     def forward(self, x, weight_mask=None, counter=None):
         return fully_connected_s8(
-            x,
-            self.weights,
-            self.bias,
-            input_zero_point=self.input_params.scalar_zero_point(),
-            output_zero_point=self.output_params.scalar_zero_point(),
-            output_multipliers=self.output_multipliers,
-            activation_min=self.activation_min,
-            activation_max=self.activation_max,
-            weight_mask=weight_mask,
-            counter=counter,
-            section=self.name,
+            x, self.weights, weight_mask=weight_mask, counter=counter, section=self.name,
+            **_requant_args(self),
         )
 
     def output_shape(self, input_shape):

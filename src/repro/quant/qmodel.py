@@ -150,9 +150,7 @@ class QuantizedModel:
 
         The input is processed in fixed-size chunks; predictions land in one
         preallocated output array instead of a list-and-concatenate round
-        trip, and because every full chunk has the same shape the conv
-        layers' im2col buffers are recycled across chunks (by the allocator,
-        or explicitly via :func:`repro.quant.qlayers.set_im2col_scratch`).
+        trip.
         """
         n = int(x.shape[0])
         predictions = np.empty((n,), dtype=np.int64)

@@ -3,7 +3,8 @@
 The DSE's central artifact is a Pareto front of accuracy/MAC-reduction
 design points.  A :class:`Deployment` turns that front into *service levels*:
 each level prebuilds the operand-retention masks of one
-:class:`~repro.core.config.ApproxConfig` and carries its simulated MCU cycle
+:class:`~repro.core.config.ApproxConfig`, each MAC layer's prepared
+:class:`~repro.kernels.gemm.GemmPlan` under them and its simulated MCU cycle
 cost, so the scheduler can switch the executed design per batch with zero
 rebuild cost -- under light load serve the exact design, under heavy load
 shed cycles by routing batches to a more aggressive skip configuration.
@@ -14,6 +15,7 @@ most aggressive; escalating means moving to a higher index.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -26,6 +28,7 @@ from repro.core.unpacking import UnpackedLayer
 from repro.isa.cost_model import ExecutionStyle, KernelCostModel, cycles_to_latency_ms
 from repro.isa.profiles import BoardProfile, STM32U575
 from repro.kernels.cycle_counters import CycleCounter
+from repro.kernels.gemm import GemmPlan, execute_gemm
 from repro.quant.qmodel import QuantizedModel
 from repro.quant.schemes import dequantize
 
@@ -46,6 +49,8 @@ class ServiceLevel:
     cycles_per_sample: float = 0.0
     #: Simulated per-sample MCU latency on the deployment board.
     mcu_latency_ms: float = 0.0
+    #: Each MAC layer's prepared plan under ``masks`` (set by the deployment).
+    plans: Dict[str, GemmPlan] = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serialisable view (masks elided)."""
@@ -71,6 +76,16 @@ class Deployment:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("a deployment needs at least one service level")
+        # Prepare every level's plans once; a layer a level leaves unmasked
+        # shares one plan object with every other level that does.
+        exact: Dict[str, GemmPlan] = {}
+        for level in self.levels:
+            level.plans = {}
+            for layer in self.qmodel.mac_layers():
+                mask = level.masks.get(layer.name) if level.masks else None
+                if mask is None and layer.name not in exact:
+                    exact[layer.name] = layer.prepare()
+                level.plans[layer.name] = exact[layer.name] if mask is None else layer.prepare(mask)
 
     # ------------------------------------------------------------------ views
     @property
@@ -93,19 +108,18 @@ class Deployment:
     def forward(self, x: np.ndarray, level: int = 0, profiler=None) -> np.ndarray:
         """Dequantized logits of a float NHWC batch under one service level.
 
+        One loop over the model's layers: MAC layers execute the level's
+        prepared plans, the others their library kernels.  An active
         ``profiler`` (a sampled :class:`~repro.obs.profiling.Profiler`)
-        switches to a per-layer loop that times each quantized forward as a
-        ``layer:NAME`` section; the unprofiled path delegates to the model's
-        fused loop untouched.
+        times each layer as a ``layer:NAME`` section.
         """
-        masks = self.levels[level].masks
-        if profiler is None or not getattr(profiler, "active", False):
-            return self.qmodel.forward(x, masks=masks)
+        plans = self.levels[level].plans
+        timed = profiler is not None and getattr(profiler, "active", False)
         q = self.qmodel.quantize_input(x)
         for layer in self.qmodel.layers:
-            mask = masks.get(layer.name) if masks else None
-            with profiler.timer(f"layer:{layer.name}"):
-                q = layer.forward(q, weight_mask=mask)
+            plan = plans.get(layer.name)
+            with profiler.timer(f"layer:{layer.name}") if timed else nullcontext():
+                q = layer.forward(q) if plan is None else execute_gemm(plan, q)
         return dequantize(q, self.qmodel.layers[-1].output_params)
 
     def predict(self, x: np.ndarray, level: int = 0, profiler=None) -> np.ndarray:

@@ -7,7 +7,7 @@ batch across worker *processes*: every worker holds its own replica of the
 initializer, so the model is shipped per worker, not per batch) and predicts
 one shard; the scheduler concatenates the shards and records the batch in
 the shared metrics sink.  Telemetry stays centralised -- workers return raw
-predictions only.
+logits only.
 """
 
 from __future__ import annotations
@@ -29,14 +29,8 @@ def _init_replica(deployment: Deployment) -> None:
     _REPLICA["deployment"] = deployment
 
 
-def _predict_shard(level: int, shard: np.ndarray) -> np.ndarray:
-    """Worker body: predict one shard with the local replica."""
-    deployment: Deployment = _REPLICA["deployment"]
-    return deployment.predict(shard, level=level)
-
-
 def _forward_shard(level: int, shard: np.ndarray) -> np.ndarray:
-    """Worker body: dequantized logits of one shard (cascade path)."""
+    """Worker body: dequantized logits of one shard."""
     deployment: Deployment = _REPLICA["deployment"]
     return deployment.forward(shard, level=level)
 
@@ -66,25 +60,16 @@ class ReplicatedRunner:
             )
 
     def predict(self, xs: np.ndarray, level: int = 0, profiler=None) -> np.ndarray:
-        """Predicted classes of a float NHWC batch under one service level.
+        """Predicted classes of a float NHWC batch under one service level."""
+        return self.forward(xs, level=level, profiler=profiler).argmax(axis=-1)
+
+    def forward(self, xs: np.ndarray, level: int = 0, profiler=None) -> np.ndarray:
+        """Dequantized logits of a batch (the cascade's confidence input).
 
         ``profiler`` (a sampled :class:`~repro.obs.profiling.Profiler`)
         enables per-layer timing on the in-process path; sharded execution
-        ignores it -- worker processes return raw predictions only and
-        telemetry stays centralised.
-        """
-        if self._pool is None or xs.shape[0] < 2 * self.min_shard:
-            return self.deployment.predict(xs, level=level, profiler=profiler)
-        n_shards = min(self.n_workers, max(1, xs.shape[0] // self.min_shard))
-        shards: List[np.ndarray] = np.array_split(xs, n_shards)
-        results = self._pool.map(functools.partial(_predict_shard, level), shards)
-        return np.concatenate(results)
-
-    def forward(self, xs: np.ndarray, level: int = 0, profiler=None) -> np.ndarray:
-        """Dequantized logits of a batch -- the cascade's confidence input.
-
-        Same sharding rules as :meth:`predict`; the cascade needs the full
-        logit rows (for softmax margins), not just the argmax.
+        ignores it -- worker processes return raw logits only and telemetry
+        stays centralised.
         """
         if self._pool is None or xs.shape[0] < 2 * self.min_shard:
             return self.deployment.forward(xs, level=level, profiler=profiler)

@@ -6,19 +6,17 @@ Two execution modes share the same semantics:
   executes in program order, vectorised over the batch's spatial positions
   (the honest rendering of the straight-line code: the accumulator state
   between any two instructions is observable).
-* ``"turbo"``  -- each output channel's SMLAD/MLA run is fused into one
-  gather + integer dot product over the precomputed per-channel operand
-  tables, with the epilogue (requantize/clamp/store) batched across all
-  channels.  Same int64 accumulators, same float64 requantization -- the
-  outputs are bit-identical to the interpreter's, roughly an order of
-  magnitude faster.
+* ``"turbo"``  -- every channel's SMLAD/MLA run fused into one matrix
+  product: the program's :class:`~repro.kernels.gemm.GemmPlan`, built at
+  lowering from the instruction stream's weights and ``init_acc``, runs on
+  the kernels' own executor, so turbo checks lowering, not a second GEMM.
 
-Both modes accumulate in int64 (the generated code's int32 accumulators never
-overflow int64) and requantize exactly as the simulation kernels do
-(``rint(acc * multiplier) + zero_point`` in float64, clamp, cast), so VM
-outputs are bit-identical to the :class:`~repro.quant.qmodel.QuantizedModel`
-kernel path under the same masks -- the property the differential harness in
-:mod:`repro.vm.verify` asserts.
+The interpreter accumulates in int64 (the generated code's int32
+accumulators never overflow int64) and requantizes exactly as the
+simulation kernels do (``rint(acc * multiplier) + zero_point`` in float64,
+clamp, cast), so VM outputs in both modes are bit-identical to the
+:class:`~repro.quant.qmodel.QuantizedModel` kernel path under the same masks
+-- the property the differential harness in :mod:`repro.vm.verify` asserts.
 
 Pooling, standalone ReLU and flatten lower to library-op programs
 (:class:`~repro.vm.ir.OpProgram`) with the same two modes, so whole
@@ -29,13 +27,14 @@ executes through the library kernels -- the hybrid fallback.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.isa.trace import FLASH_WAIT_PER_WORD, InstructionTrace
-from repro.kernels.accumulate import exact_matmul_dtype
+from repro.kernels.gemm import execute_gemm
 from repro.kernels.im2col import im2col_s8
 from repro.nn.functional import conv_output_shape
 from repro.quant.qmodel import QuantizedModel
@@ -148,9 +147,9 @@ class ExecutionTrace:
 
 
 def _gather_patches(
-    program: LayerProgram, x: np.ndarray, dtype: np.dtype = np.int64
+    program: LayerProgram, x: np.ndarray
 ) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
-    """Flattened operand matrix ``(positions, K)`` in ``dtype`` plus output geometry."""
+    """Flattened int64 operand matrix ``(positions, K)`` plus output geometry."""
     if program.is_conv:
         if x.ndim != 4:
             raise VMError(f"{program.name}: conv program expects NHWC input, got shape {x.shape}")
@@ -168,7 +167,7 @@ def _gather_patches(
             program.stride,
             program.padding,
             program.input_zero_point,
-            dtype=dtype,
+            dtype=np.int64,
         )
         positions = n * out_h * out_w
         return cols.reshape(positions, program.operands_per_channel), positions, (
@@ -183,7 +182,7 @@ def _gather_patches(
         raise VMError(
             f"{program.name}: expected {program.operands_per_channel} features, got {x.shape[1]}"
         )
-    return x.astype(dtype), int(x.shape[0]), (int(x.shape[0]), program.out_channels)
+    return x.astype(np.int64), int(x.shape[0]), (int(x.shape[0]), program.out_channels)
 
 
 def execute_layer_interp(program: LayerProgram, x: np.ndarray) -> np.ndarray:
@@ -221,32 +220,14 @@ def execute_layer_interp(program: LayerProgram, x: np.ndarray) -> np.ndarray:
 
 
 def execute_layer_turbo(program: LayerProgram, x: np.ndarray) -> np.ndarray:
-    """Fused execution: every channel's instruction run becomes one matrix product.
+    """Fused execution: the program's prepared GEMM plan through the shared executor.
 
-    The weight matrix is the one reconstructed *from the instruction stream*
-    at lowering time (skipped operands zero), and the accumulation runs
-    through BLAS in the cheapest float dtype whose mantissa provably holds
-    the worst-case int8 accumulator (:func:`~repro.kernels.accumulate.
-    exact_matmul_dtype`) -- every intermediate is an exactly-represented
-    integer, so the result is bit-identical to the instruction-granular
-    interpreter (and to the simulation kernels).
+    The plan's weight matrix is the one reconstructed *from the instruction
+    stream* at lowering time (skipped operands zero), so the result is
+    bit-identical to the instruction-granular interpreter (and to the
+    simulation kernels) exactly when lowering is.
     """
-    if program.dense_weights is None:
-        raise VMError(f"{program.name}: program was lowered without fused weights")
-    compute_dtype = exact_matmul_dtype(program.operands_per_channel)
-    patches, positions, out_shape = _gather_patches(program, x, dtype=compute_dtype)
-    facc = (patches @ program.dense_weights.T.astype(compute_dtype)).astype(
-        np.float64, copy=False
-    )
-    facc += program.init_acc[None, :].astype(np.float64)
-    facc *= program.multipliers[None, :]
-    np.rint(facc, out=facc)
-    facc += float(program.output_zero_point)
-    out_flat = np.empty(facc.shape, dtype=np.int8)
-    np.clip(
-        facc, program.activation_min, program.activation_max, out=out_flat, casting="unsafe"
-    )
-    return out_flat.reshape(out_shape)
+    return execute_gemm(program.gemm, x)
 
 
 def _gather_op_patches(
@@ -418,32 +399,25 @@ class VirtualMachine:
         x = q_input
         for layer in self.qmodel.layers:
             program = self.program.programs.get(layer.name)
-            if program is not None:
-                if timed:
-                    with profiler.timer(f"vm:{layer.name}"):
-                        out = self._execute(program, x)
+            section = f"kernel:{layer.name}" if program is None else f"vm:{layer.name}"
+            with profiler.timer(section) if timed else nullcontext():
+                if program is None:
+                    mask = self.masks.get(layer.name) if self.masks else None
+                    out = layer.forward(x, weight_mask=mask)
                 else:
                     out = self._execute(program, x)
-                if trace is not None:
-                    n = int(x.shape[0])
-                    positions = program.spatial_positions(x.shape[1:]) * n
-                    trace.record(
-                        LayerExecution(
-                            name=program.name,
-                            spatial_positions=positions,
-                            instructions_executed=program.instructions_per_position * positions,
-                            trace=program.instruction_trace(positions),
-                            op_class=program.op_class,
-                        )
+            if program is not None and trace is not None:
+                positions = program.spatial_positions(x.shape[1:]) * int(x.shape[0])
+                trace.record(
+                    LayerExecution(
+                        name=program.name,
+                        spatial_positions=positions,
+                        instructions_executed=program.instructions_per_position * positions,
+                        trace=program.instruction_trace(positions),
+                        op_class=program.op_class,
                     )
-                x = out
-            else:
-                mask = self.masks.get(layer.name) if self.masks else None
-                if timed:
-                    with profiler.timer(f"kernel:{layer.name}"):
-                        x = layer.forward(x, weight_mask=mask)
-                else:
-                    x = layer.forward(x, weight_mask=mask)
+                )
+            x = out
         return x
 
     def forward(

@@ -17,13 +17,14 @@ feeds back to calibrate the analytic cost model.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from repro.isa.trace import FLASH_WAIT_PER_WORD, OPCODE_BYTES, InstructionTrace
+from repro.kernels.gemm import GemmPlan
 
 
 class Opcode(str, Enum):
@@ -211,15 +212,9 @@ class LayerProgram(ProgramAccounting):
         Per-channel real requantization multipliers.
     activation_min, activation_max:
         Output clamp range.
-    channel_indices, channel_weights:
-        Per-channel fused views of the retained operands (indices into the
-        patch, int64 weights) -- the per-channel rendering of the
-        instruction stream used by tests and diagnostics.
-    dense_weights:
-        The ``(out_channels, K)`` weight matrix reconstructed from the
-        instruction stream (skipped operands are zero) -- precomputed at
-        lowering time so the turbo execution mode can fuse every channel's
-        instruction run into one batched matrix product.
+    gemm:
+        Turbo mode's prepared GEMM plan of the weight matrix reconstructed
+        from the instruction stream (skipped operands zero) and ``init_acc``.
     retained_operands:
         Total retained MACs (for reporting).
     """
@@ -239,9 +234,7 @@ class LayerProgram(ProgramAccounting):
     multipliers: np.ndarray
     activation_min: int
     activation_max: int
-    channel_indices: List[np.ndarray] = field(default_factory=list)
-    channel_weights: List[np.ndarray] = field(default_factory=list)
-    dense_weights: Optional[np.ndarray] = None
+    gemm: GemmPlan
     retained_operands: int = 0
 
     # ------------------------------------------------------------------ accounting

@@ -11,7 +11,10 @@ The only lowering-time transformation beyond the plan is constant folding:
 the input-offset correction ``-zp_in * sum(retained weights)`` is folded into
 each channel's accumulator initialisation (``init_acc``), exactly as a
 compiler folds it into the generated code's bias table -- the emitted
-``acc = bias[c]`` reads that corrected constant.
+``acc = bias[c]`` reads that corrected constant.  The same folded constants
+and the weight matrix reconstructed from the instruction stream become the
+program's :class:`~repro.kernels.gemm.GemmPlan`, built once here for the
+turbo execution mode.
 
 Beyond the MAC layers, :func:`lower_op_layer` lowers the library-style ops
 (max/avg pooling, standalone ReLU, flatten) to :class:`~repro.vm.ir.OpProgram`
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro.core.codegen import LayerPlan, plan_layer
 from repro.core.unpacking import UnpackedLayer, unpack_layer, unpack_model
+from repro.kernels.gemm import prepare_gemm
 from repro.quant.qlayers import (
     QAvgPool2D,
     QConv2D,
@@ -52,8 +56,10 @@ from repro.vm.ir import (
 def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
     """Turn one layer plan plus its quantized layer's metadata into a program."""
     instructions: List[Instruction] = []
-    channel_indices: List[np.ndarray] = []
-    channel_weights: List[np.ndarray] = []
+    # The (masked) weight matrix reconstructed from the instruction stream:
+    # skipped operands stay zero, as they contribute nothing in the
+    # straight-line code.
+    weights = np.zeros((plan.out_channels, plan.operands_per_channel), dtype=np.int64)
     for ch in plan.channels:
         c = ch.channel
         instructions.append(Instruction(op=Opcode.INIT, channel=c))
@@ -73,38 +79,27 @@ def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
         instructions.append(Instruction(op=Opcode.REQUANT, channel=c))
         instructions.append(Instruction(op=Opcode.CLAMP, channel=c))
         instructions.append(Instruction(op=Opcode.STORE, channel=c))
-        channel_indices.append(np.asarray(idx, dtype=np.int64))
-        channel_weights.append(np.asarray(wts, dtype=np.int64))
+        weights[c, idx] = wts
 
-    if isinstance(qlayer, QConv2D):
-        is_conv = True
+    is_conv = isinstance(qlayer, QConv2D)
+    if is_conv:
         kernel_size, stride, padding = qlayer.kernel_size, qlayer.stride, qlayer.padding
         in_channels = qlayer.in_channels
     else:
-        is_conv = False
         kernel_size, stride, padding = (1, 1), (1, 1), (0, 0)
         in_channels = qlayer.in_features
 
     # Fold the input-offset correction into the per-channel init constant:
     # init_acc[c] = bias[c] - zp_in * sum of the channel's retained weights.
     zp_in = int(qlayer.input_params.scalar_zero_point())
-    retained_weight_sums = np.asarray(
-        [int(w.sum()) for w in channel_weights], dtype=np.int64
-    )
-    init_acc = -zp_in * retained_weight_sums
+    init_acc = -zp_in * weights.sum(axis=1)
     if qlayer.bias is not None:
         init_acc = init_acc + np.asarray(qlayer.bias, dtype=np.int64)
-
     multipliers = np.broadcast_to(
         np.asarray(qlayer.output_multipliers, dtype=np.float64), (plan.out_channels,)
     ).copy()
-
-    # Reconstruct the dense (masked) weight matrix from the instruction
-    # stream for the turbo mode's fused matrix product; skipped operands stay
-    # zero, exactly as they contribute nothing in the straight-line code.
-    dense_weights = np.zeros((plan.out_channels, plan.operands_per_channel), dtype=np.int64)
-    for channel, (idx, wts) in enumerate(zip(channel_indices, channel_weights)):
-        dense_weights[channel, idx] = wts
+    output_zero_point = int(qlayer.output_params.scalar_zero_point())
+    activation_min, activation_max = int(qlayer.activation_min), int(qlayer.activation_max)
 
     return LayerProgram(
         name=plan.name,
@@ -117,14 +112,17 @@ def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
         out_channels=plan.out_channels,
         operands_per_channel=plan.operands_per_channel,
         input_zero_point=zp_in,
-        output_zero_point=int(qlayer.output_params.scalar_zero_point()),
+        output_zero_point=output_zero_point,
         init_acc=init_acc,
         multipliers=multipliers,
-        activation_min=int(qlayer.activation_min),
-        activation_max=int(qlayer.activation_max),
-        channel_indices=channel_indices,
-        channel_weights=channel_weights,
-        dense_weights=dense_weights,
+        activation_min=activation_min,
+        activation_max=activation_max,
+        # Turbo's plan, prepared once from the reconstructed weights.
+        gemm=prepare_gemm(
+            weights, init_acc, multipliers, output_zero_point, activation_min, activation_max,
+            kernel_size=kernel_size if is_conv else None, stride=stride, padding=padding,
+            input_zero_point=zp_in,
+        ),
         retained_operands=plan.retained,
     )
 

@@ -327,9 +327,9 @@ class VerifyStage(Stage):
 class ServeStage(Stage):
     """Turn DSE output into a servable :class:`~repro.serving.deployment.Deployment`.
 
-    The stage prebuilds every service level's skip masks and per-sample
-    simulated MCU cycle cost, so the resulting artifact is ready for the
-    batching scheduler with zero warm-up -- and, like any other stage output,
+    The stage prebuilds every service level's skip masks, prepared GEMM
+    plans and per-sample simulated MCU cycle cost, so the resulting artifact
+    is ready for the batching scheduler with zero warm-up -- and, like any other stage output,
     it is cached content-addressed: unchanged model/significance/DSE inputs
     serve the deployment straight from the artifact store.
 
@@ -347,6 +347,7 @@ class ServeStage(Stage):
     """
 
     name = "serve"
+    version = "2"
     requires = ("qmodel", "significance", "unpacked", "dse")
     provides = ("serving",)
 

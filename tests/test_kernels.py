@@ -23,6 +23,8 @@ from repro.kernels import (
     unpack_weight_pair,
 )
 from repro.kernels.accumulate import exact_matmul_dtype, integer_matmul
+from repro.kernels.fully_connected_s8 import prepare_fully_connected_s8
+from repro.kernels.gemm import BLOCK_POSITIONS
 from repro.kernels.smlad import smlad_dot
 
 
@@ -51,6 +53,18 @@ def naive_convolve_s8(x, weights, bias, in_zp, out_zp, multipliers, stride, padd
                     value = int(np.rint(acc * multipliers[c])) + out_zp
                     out[b, i, j, c] = np.clip(value, act_min, act_max)
     return out.astype(np.int8)
+
+
+def naive_max_pool_s8(x, kernel, stride):
+    """Loop-based reference of int8 max pooling."""
+    n, in_h, in_w, c = x.shape
+    (kh, kw), (sh, sw) = kernel, stride
+    out_h, out_w = (in_h - kh) // sh + 1, (in_w - kw) // sw + 1
+    out = np.empty((n, out_h, out_w, c), dtype=np.int8)
+    for i in range(out_h):
+        for j in range(out_w):
+            out[:, i, j, :] = x[:, i * sh : i * sh + kh, j * sw : j * sw + kw, :].max(axis=(1, 2))
+    return out
 
 
 class TestSmlad:
@@ -179,6 +193,25 @@ class TestConvolveS8:
         with pytest.raises(ValueError):
             convolve_s8(x, weights, bias, 0, 0, multipliers, weight_mask=np.ones((2, 2), bool))
 
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize(
+        "size,stride,padding",
+        [(12, (1, 1), (1, 1)), (13, (2, 2), (2, 2)), (33, (1, 1), (1, 1)), (11, (1, 2), (0, 1))],
+    )
+    def test_blocked_batch_matches_naive(self, rng, size, stride, padding, masked):
+        """Two full blocks of whole images plus a ragged last block."""
+        out_h = (size + 2 * padding[0] - 3) // stride[0] + 1
+        out_w = (size + 2 * padding[1] - 3) // stride[1] + 1
+        per_block = max(1, BLOCK_POSITIONS // (out_h * out_w))
+        n = 2 * per_block + max(1, per_block // 2)
+        x, weights, bias, multipliers, *_ = self._setup(rng, n=n, h=size, w=size, cout=3)
+        mask = rng.random((3, 27)) > 0.4 if masked else None
+        out = convolve_s8(x, weights, bias, -3, 4, multipliers, stride, padding, weight_mask=mask)
+        expected = naive_convolve_s8(
+            x, weights, bias, -3, 4, multipliers, stride, padding, -128, 127, mask=mask
+        )
+        np.testing.assert_array_equal(out, expected)
+
     def test_saturation_behaviour(self):
         x = np.full((1, 3, 3, 1), 127, dtype=np.int8)
         weights = np.full((1, 3, 3, 1), 127, dtype=np.int8)
@@ -216,6 +249,26 @@ class TestFullyConnectedS8:
         assert stats.macs == 5 * 24
         assert stats.output_elements == 15
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_float64_path_matches_int64_product(self, rng, masked):
+        """K > 1023 overflows float32's exact range: the plan runs in float64."""
+        k = 3000
+        x = rng.integers(-128, 128, size=(5, k), dtype=np.int8)
+        x[0] = rng.integers(-128, -100, size=k)
+        weights = rng.integers(-128, -100, size=(k, 4), dtype=np.int8)
+        mask = rng.random((4, k)) > 0.3 if masked else np.ones((4, k), dtype=bool)
+        acc = (x.astype(np.int64) + 5) @ (weights.astype(np.int64) * mask.T)
+        assert np.abs(acc[0]).min() > 2**24
+        # Cancel row 0's accumulators in the bias so its outputs read their
+        # low bits: rounding anywhere in the sums changes them.
+        bias = -acc[0] + rng.integers(-100, 100, size=4)
+        multipliers = np.ones(4)
+        plan = prepare_fully_connected_s8(weights, bias, -5, 2, multipliers, weight_mask=mask)
+        assert plan.weights.dtype == np.float64
+        out = fully_connected_s8(x, weights, bias, -5, 2, multipliers, weight_mask=mask)
+        expected = np.clip(acc + bias + 2, -128, 127).astype(np.int8)
+        np.testing.assert_array_equal(out, expected)
+
     def test_validation(self, rng):
         x = rng.integers(-128, 128, size=(2, 8), dtype=np.int8)
         weights = rng.integers(-127, 128, size=(8, 3), dtype=np.int8)
@@ -232,6 +285,18 @@ class TestPoolingS8:
         x = np.arange(16, dtype=np.int8).reshape(1, 4, 4, 1)
         out = max_pool_s8(x, (2, 2), (2, 2))
         np.testing.assert_array_equal(out[0, :, :, 0], [[5, 7], [13, 15]])
+
+    @pytest.mark.parametrize(
+        "kernel,stride", [((3, 3), (2, 2)), ((3, 3), (1, 1)), ((2, 2), (1, 1)), ((2, 2), (2, 2))]
+    )
+    def test_max_pool_matches_loop_reference(self, rng, kernel, stride):
+        x = rng.integers(-128, 128, size=(3, 9, 11, 5), dtype=np.int8)
+        x[..., 0] = -128
+        x[0, ::2, ::3, 1] = 127
+        x[1, ..., 2] = 127
+        out = max_pool_s8(x, kernel, stride)
+        np.testing.assert_array_equal(out, naive_max_pool_s8(x, kernel, stride))
+        assert out.dtype == np.int8 and out.flags["C_CONTIGUOUS"]
 
     def test_avg_pool_rounds(self):
         x = np.array([[1, 2], [3, 5]], dtype=np.int8).reshape(1, 2, 2, 1)

@@ -13,7 +13,6 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.quant.qlayers import im2col_scratch_enabled, set_im2col_scratch
 from repro.registry import POLICIES
 from repro.serving import (
     Client,
@@ -435,6 +434,78 @@ class TestDeployment:
             expected = deployment.qmodel.predict_classes(xs, masks=level.masks)
             np.testing.assert_array_equal(deployment.predict(xs, level=idx), expected)
 
+    def test_fingerprint_stable_across_forward(self, tiny_qmodel, deployment, small_split):
+        """Forwards and ``prepare`` leave the model's pickle, so its fingerprint, unchanged."""
+        before = fingerprint(tiny_qmodel)
+        attributes = {layer.name: set(vars(layer)) for layer in tiny_qmodel.layers}
+        xs = _sample_images(small_split, 5)
+        tiny_qmodel.predict_classes(xs)
+        for level in range(len(deployment.levels)):
+            deployment.forward(xs, level=level)
+        for layer in tiny_qmodel.mac_layers():
+            layer.prepare()
+        assert fingerprint(tiny_qmodel) == before
+        assert {layer.name: set(vars(layer)) for layer in tiny_qmodel.layers} == attributes
+
+
+@pytest.fixture(scope="module", params=["tiny_cnn", "lenet", "alexnet"])
+def zoo_deployment(request):
+    """Exact + uniform conv tau levels of one zoo model (seeded random weights)."""
+    from repro.core import AtamanPipeline
+    from repro.data import load_synthetic_cifar10
+    from repro.models import build_model
+    from repro.quant import quantize_model
+
+    images = np.asarray(load_synthetic_cifar10(96, seed=11).images, dtype=np.float32)
+    model = build_model(request.param, input_shape=images.shape[1:], n_classes=10, rng=7)
+    qmodel = quantize_model(model, images[:32], name=request.param)
+    pipeline = AtamanPipeline(qmodel)
+    significance = pipeline.significance(pipeline.calibrate(images[:32]))
+    convs = [layer.name for layer in qmodel.conv_layers()]
+    points = [
+        {"label": "exact", "taus": {}, "accuracy": 1.0},
+        {"label": "tau", "taus": {name: 0.05 for name in convs}, "accuracy": 0.5},
+    ]
+    deployment = Deployment.from_points(qmodel, points, significance, unpacked=pipeline.unpack())
+    assert len(deployment.levels) == 2
+    return deployment, images[32:]
+
+
+class TestDeploymentPlans:
+    """Each service level executes prepared plans, bit-identical to the kernels."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 32])
+    def test_forward_matches_kernel_reference(self, zoo_deployment, batch):
+        deployment, images = zoo_deployment
+        xs = images[:batch]
+        for index, level in enumerate(deployment.levels):
+            np.testing.assert_array_equal(
+                deployment.forward(xs, level=index),
+                deployment.qmodel.forward(xs, masks=level.masks),
+            )
+
+    def test_unmasked_layer_shares_the_exact_plan(self, zoo_deployment):
+        deployment, _ = zoo_deployment
+        exact, approx = deployment.levels
+        shared = 0
+        for layer in deployment.qmodel.mac_layers():
+            if layer.name in approx.masks:
+                assert approx.plans[layer.name] is not exact.plans[layer.name]
+            else:
+                assert approx.plans[layer.name] is exact.plans[layer.name]
+                shared += 1
+        assert shared  # every zoo model has an unmasked dense classifier
+
+    def test_pickled_deployment_answers_identically(self, zoo_deployment):
+        deployment, images = zoo_deployment
+        clone = pickle.loads(pickle.dumps(deployment))
+        for index in range(len(deployment.levels)):
+            np.testing.assert_array_equal(
+                clone.forward(images[:7], level=index), deployment.forward(images[:7], level=index)
+            )
+        dense = deployment.qmodel.mac_layers()[-1].name
+        assert clone.levels[1].plans[dense] is clone.levels[0].plans[dense]
+
 
 # --------------------------------------------------------------------------- scheduler
 class TestScheduler:
@@ -781,52 +852,6 @@ class TestServeStage:
     def test_serve_stage_requires_dse_only_without_points(self):
         assert "dse" in ServeStage().requires
         assert "dse" not in ServeStage(points=[{"taus": {}}]).requires
-
-
-# --------------------------------------------------------------------------- hot-path satellites
-class TestScratchBuffers:
-    def test_forward_identical_with_and_without_scratch(self, tiny_qmodel, small_split):
-        xs = _sample_images(small_split, 9)
-        assert not im2col_scratch_enabled()  # allocator recycling is the default
-        without = tiny_qmodel.predict_classes(xs, batch_size=4)
-        previous = set_im2col_scratch(True)
-        try:
-            with_scratch_1 = tiny_qmodel.predict_classes(xs, batch_size=4)
-            with_scratch_2 = tiny_qmodel.predict_classes(xs, batch_size=4)  # reused buffers
-            assert any(layer._cols_scratch is not None for layer in tiny_qmodel.conv_layers())
-        finally:
-            set_im2col_scratch(previous)
-        np.testing.assert_array_equal(with_scratch_1, with_scratch_2)
-        np.testing.assert_array_equal(with_scratch_1, without)
-
-    def test_scratch_survives_shape_changes(self, tiny_qmodel, small_split):
-        xs = _sample_images(small_split, 10)
-        previous = set_im2col_scratch(True)
-        try:
-            a = tiny_qmodel.predict_classes(xs, batch_size=8)  # chunks of 8 then 2
-            b = tiny_qmodel.predict_classes(xs, batch_size=10)
-        finally:
-            set_im2col_scratch(previous)
-        np.testing.assert_array_equal(a, b)
-
-    def test_fingerprint_stable_across_forward(self, tiny_qmodel, small_split):
-        before = fingerprint(tiny_qmodel)
-        previous = set_im2col_scratch(True)
-        try:
-            tiny_qmodel.predict_classes(_sample_images(small_split, 5))
-        finally:
-            set_im2col_scratch(previous)
-        assert fingerprint(tiny_qmodel) == before
-
-    def test_scratch_not_pickled(self, tiny_qmodel, small_split):
-        previous = set_im2col_scratch(True)
-        try:
-            tiny_qmodel.predict_classes(_sample_images(small_split, 5))
-        finally:
-            set_im2col_scratch(previous)
-        clone = pickle.loads(pickle.dumps(tiny_qmodel))
-        for layer in clone.conv_layers():
-            assert layer._cols_scratch is None
 
 
 # --------------------------------------------------------------------------- artifact store concurrency

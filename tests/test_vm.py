@@ -93,8 +93,8 @@ class TestLowering:
         masked = lower_layer(tiny_qmodel.get_layer(name), layer, mask)
         assert masked.retained_operands == int(mask.sum())
         assert masked.instructions_per_position < exact.instructions_per_position
-        # Skipped operands are zero in the fused weight matrix.
-        assert np.all(masked.dense_weights[~np.asarray(mask, dtype=bool)] == 0)
+        # Skipped operands are zero in turbo's prepared (K, Cout) weights.
+        assert np.all(masked.gemm.weights.T[~np.asarray(mask, dtype=bool)] == 0)
 
     def test_trace_counts_match_isa_trace_model(self, tiny_qmodel, tiny_unpacked):
         """The lowered opcode counts equal trace_unpacked_conv's first-principles model."""
@@ -523,7 +523,7 @@ class TestVerifyHarness:
         config = ApproxConfig.exact(tiny_qmodel.name)
         program = lower_model(tiny_qmodel, tiny_unpacked)
         name = next(iter(tiny_unpacked))
-        program[name].dense_weights[0, 0] += 64  # corrupt the turbo path
+        program[name].gemm.weights[0, 0] += 64  # corrupt what turbo executes
         images = small_split.test.images[:4]
         q_in = tiny_qmodel.quantize_input(images)
         machine = VirtualMachine(tiny_qmodel, program=program, mode="turbo")
