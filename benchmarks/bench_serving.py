@@ -113,12 +113,12 @@ def test_bench_batching_speedup(lenet_serving, tiny_artifacts):
     flight -- the classic no-batching request/response server), concurrent
     batch-size-1 (requests pipeline through the queue but every forward pass
     serves one sample), and the coalescing scheduler.  The speedup is bounded
-    by how much per-invocation overhead batching can amortise: on this
-    container every NumPy forward runs on a single core, so the multiple
-    grows as the per-sample compute shrinks relative to the per-call
-    overhead -- the tiny-CNN rows demonstrate the headroom the scheduler has
-    on smaller models (and on multi-core hosts, where the batched GEMMs
-    parallelise while per-request dispatch does not).
+    by how much per-invocation overhead batching can amortise, so the
+    multiple grows as the per-sample compute shrinks relative to the
+    per-call overhead -- the tiny-CNN rows demonstrate the headroom the
+    scheduler has on smaller models.  Every forward runs in the scheduler's
+    process: a batched GEMM spreads over the BLAS threads (one per core by
+    default), while per-request dispatch stays on one core.
     """
     deployment = lenet_serving["deployment"]
     images = lenet_serving["images"]

@@ -116,7 +116,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         tau_step=args.tau_step,
         tau_max=args.tau_max,
         max_eval_samples=args.eval_samples,
-        n_workers=args.workers,
         strategy=args.strategy,
         strategy_options=strategy_options,
     )
@@ -468,7 +467,6 @@ def _serve_fleet(args: argparse.Namespace, deployment, split, qmodel,
         policy_options=policy_options,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
-        n_workers=args.shard_workers,
         profile_every=args.profile_every,
         host=args.host,
         tenants=tenant_table.as_dicts() if tenant_table is not None else None,
@@ -583,7 +581,6 @@ def _extra_deployments(args: argparse.Namespace, split, board) -> list:
         dse_config = DSEConfig(
             tau_values=[0.0, 0.01, 0.05],
             max_eval_samples=min(128, args.eval_samples),
-            n_workers=args.workers,
         )
         stages = [UnpackStage(), CalibrateStage(), SignificanceStage(),
                   DSEStage(dse_config=dse_config, board=board),
@@ -788,7 +785,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dse_config = DSEConfig(
             tau_values=[0.0, 0.005, 0.01, 0.02, 0.05, 0.1],
             max_eval_samples=args.eval_samples,
-            n_workers=args.workers,
         )
         stages.append(DSEStage(dse_config=dse_config, board=board))
         stages.append(ServeStage(max_levels=args.max_levels, board=board,
@@ -885,7 +881,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy=policy,
         max_batch_size=args.max_batch_size,
         max_wait_ms=args.max_wait_ms,
-        n_workers=args.shard_workers,
         obs=obs,
         tenants=tenant_table,
     )
@@ -1057,7 +1052,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         format_table2,
     )
 
-    context = ExperimentContext(scale=args.scale, seed=args.seed, n_workers=args.workers)
+    context = ExperimentContext(scale=args.scale, seed=args.seed)
     wanted_all = args.all or not (args.table1 or args.table2 or args.figure2 or args.claims)
     if args.table1 or wanted_all:
         print(format_table1(build_table1(context)), end="\n\n")
@@ -1103,8 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, samples=2000):
         p.add_argument("--samples", type=int, default=samples, help="synthetic dataset size")
         p.add_argument("--seed", type=int, default=7, help="dataset/model seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for parallel work (default: all cores minus one)")
 
     def add_resume(p):
         p.add_argument("--resume", default=None, metavar="DIR",
@@ -1224,9 +1217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--replicas", type=int, default=1,
                          help="replica server processes behind a fleet router "
                               "(1 = a single in-process server, no router)")
-    p_serve.add_argument("--shard-workers", type=int, default=1,
-                         help="worker processes sharding batches inside each server "
-                              "(per replica in fleet mode)")
     p_serve.add_argument("--board", choices=board_choices(), default="stm32u575",
                          help="board model for the simulated MCU latency/savings")
     p_serve.add_argument("--cycle-source", choices=("analytic", "traced"), default="analytic",
@@ -1276,8 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--all", action="store_true")
     p_rep.add_argument("--scale", choices=("ci", "fast", "full"), default=None)
     p_rep.add_argument("--seed", type=int, default=7, help="master experiment seed")
-    p_rep.add_argument("--workers", type=int, default=None,
-                       help="worker processes for parallel work (default: all cores minus one)")
     p_rep.set_defaults(func=cmd_reproduce)
 
     return parser

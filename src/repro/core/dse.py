@@ -3,9 +3,10 @@
 The paper performs an exhaustive, offline DSE over the significance threshold
 tau (step 0.001 for LeNet, 0.01 for AlexNet, range [0, 0.1]) and over the set
 of approximated layers, simulating the classification accuracy of every
-configuration and recording the normalised MAC reduction.  The exploration is
-embarrassingly parallel over configurations; the paper used 6 CPU threads,
-and :func:`run_dse` exposes the same knob through ``n_workers``.
+configuration and recording the normalised MAC reduction.  The paper ran the
+exploration on 6 CPU threads; here the designs are evaluated one after another
+in a plain loop, and the cores belong to the BLAS threads inside each forward
+pass (:mod:`repro.utils.parallel` records why).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.isa.profiles import BoardProfile
 from repro.quant.qmodel import QuantizedModel
 from repro.registry import SEARCH_STRATEGIES
 from repro.utils.logging import get_logger
-from repro.utils.parallel import parallel_map
 
 logger = get_logger("core.dse")
 
@@ -54,11 +54,6 @@ class DSEConfig:
         Cap on the number of evaluation images used to simulate accuracy.
     max_configs:
         Optional hard cap on the number of explored configurations.
-    n_workers:
-        Worker processes for the accuracy simulations.  ``None`` (default)
-        uses :func:`repro.utils.parallel.default_workers` -- the exploration
-        is embarrassingly parallel, so it should saturate the machine unless
-        explicitly told otherwise; ``1`` forces the serial path.
     include_exact:
         Always include the exact design as a reference point.
     strategy:
@@ -79,7 +74,6 @@ class DSEConfig:
     metric: str = "expected_contribution"
     max_eval_samples: int = 512
     max_configs: Optional[int] = None
-    n_workers: Optional[int] = None
     include_exact: bool = True
     strategy: str = "exhaustive"
     strategy_options: Dict[str, object] = field(default_factory=dict)
@@ -187,33 +181,18 @@ def _generate_layer_subsets(layer_names: Sequence[str], mode: str) -> List[Tuple
     raise ValueError(f"unknown layer_subsets mode {mode!r}")
 
 
-#: Per-worker invariant payload installed by :func:`_init_eval_worker` -- the
-#: model/significance/eval arrays are shipped once per worker instead of being
-#: re-pickled into every configuration's work item.
-_EVAL_STATE: dict = {}
-
-
-def _init_eval_worker(qmodel, significance, unpacked, images, labels) -> None:
-    """Process-pool initializer: stash the shared evaluation payload."""
-    _EVAL_STATE["payload"] = (qmodel, significance, unpacked, images, labels)
-
-
-def _evaluate_config(config: ApproxConfig) -> DesignPoint:
-    """Worker: simulate one approximate configuration against the shared payload."""
-    qmodel, significance, unpacked, images, labels = _EVAL_STATE["payload"]
-    return _evaluate_design((config, qmodel, significance, unpacked, images, labels))
-
-
-def _evaluate_design(
-    args: Tuple[ApproxConfig, QuantizedModel, SignificanceResult, Optional[Dict[str, UnpackedLayer]], np.ndarray, np.ndarray]
+def design_point(
+    qmodel: QuantizedModel,
+    config: ApproxConfig,
+    masks: Dict[str, np.ndarray],
+    accuracy: float,
 ) -> DesignPoint:
-    """Simulate one approximate configuration."""
-    config, qmodel, significance, unpacked, images, labels = args
-    masks = config.build_masks(significance, unpacked=unpacked)
-    accuracy = qmodel.evaluate_accuracy(images, labels, masks=masks)
-    reduction = conv_mac_reduction(qmodel, masks)
-    total_macs = qmodel.total_macs(masks=masks)
-    conv_macs = qmodel.conv_macs(masks=masks)
+    """The :class:`DesignPoint` of a configuration whose accuracy is known.
+
+    ``masks`` are the configuration's retention masks (empty for the exact
+    design); the MAC counts, the conv-MAC reduction and the retained-operand
+    fraction all follow from them.
+    """
     retained = (
         float(np.mean([np.asarray(m, dtype=bool).mean() for m in masks.values()]))
         if masks
@@ -222,9 +201,9 @@ def _evaluate_design(
     return DesignPoint(
         config=config,
         accuracy=accuracy,
-        conv_mac_reduction=reduction,
-        total_macs=total_macs,
-        conv_macs=conv_macs,
+        conv_mac_reduction=conv_mac_reduction(qmodel, masks),
+        total_macs=qmodel.total_macs(masks=masks),
+        conv_macs=qmodel.conv_macs(masks=masks),
         retained_operand_fraction=retained,
     )
 
@@ -329,28 +308,16 @@ def exhaustive_sweep(
     )
 
     baseline_accuracy = qmodel.evaluate_accuracy(eval_images, eval_labels)
-    points = parallel_map(
-        _evaluate_config,
-        configs,
-        n_workers=dse_config.n_workers,
-        min_items_for_pool=4,
-        initializer=_init_eval_worker,
-        initargs=(qmodel, significance, unpacked, eval_images, eval_labels),
-    )
-
+    points: List[DesignPoint] = []
     if dse_config.include_exact:
-        exact = DesignPoint(
-            config=ApproxConfig.exact(qmodel.name),
-            accuracy=baseline_accuracy,
-            conv_mac_reduction=0.0,
-            total_macs=qmodel.total_macs(),
-            conv_macs=qmodel.conv_macs(),
-            retained_operand_fraction=1.0,
-        )
-        points = [exact] + list(points)
+        points.append(design_point(qmodel, ApproxConfig.exact(qmodel.name), {}, baseline_accuracy))
+    for config in configs:
+        masks = config.build_masks(significance, unpacked=unpacked)
+        accuracy = qmodel.evaluate_accuracy(eval_images, eval_labels, masks=masks)
+        points.append(design_point(qmodel, config, masks, accuracy))
 
     return DSEResult(
-        points=list(points),
+        points=points,
         baseline_accuracy=baseline_accuracy,
         baseline_total_macs=qmodel.total_macs(),
         baseline_conv_macs=qmodel.conv_macs(),

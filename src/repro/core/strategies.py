@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import ApproxConfig, LayerApproxSpec
-from repro.core.dse import DSEConfig, DSEResult, DesignPoint, exhaustive_sweep
+from repro.core.dse import DSEConfig, DSEResult, DesignPoint, design_point, exhaustive_sweep
 from repro.core.significance import SignificanceResult
 from repro.core.skipping import build_model_masks, conv_mac_reduction
 from repro.core.unpacking import UnpackedLayer
@@ -329,8 +329,8 @@ class GreedyPerLayerSearch(SearchStrategy):
         # point, so Pareto/selection consumers see the whole greedy trajectory.
         points: List[DesignPoint] = []
         if dse_config.include_exact:
-            points.append(_design_point(qmodel, significance, ApproxConfig.exact(qmodel.name),
-                                        greedy.baseline_accuracy, unpacked))
+            points.append(design_point(qmodel, ApproxConfig.exact(qmodel.name), {},
+                                       greedy.baseline_accuracy))
         levels: Dict[str, float] = {}
         for step in greedy.steps:
             levels[step.layer] = step.tau
@@ -346,7 +346,8 @@ class GreedyPerLayerSearch(SearchStrategy):
                 },
                 label=f"{qmodel.name}:greedy:step{len(points)}",
             )
-            points.append(_design_point(qmodel, significance, config, step.accuracy, unpacked))
+            masks = config.build_masks(significance, unpacked=unpacked)
+            points.append(design_point(qmodel, config, masks, step.accuracy))
         return DSEResult(
             points=points,
             baseline_accuracy=greedy.baseline_accuracy,
@@ -398,27 +399,3 @@ class LatencyAwareSearch(SearchStrategy):
             baseline_conv_macs=sweep.baseline_conv_macs,
             config=sweep.config,
         )
-
-
-def _design_point(
-    qmodel: QuantizedModel,
-    significance: SignificanceResult,
-    config: ApproxConfig,
-    accuracy: float,
-    unpacked: Optional[Dict[str, UnpackedLayer]] = None,
-) -> DesignPoint:
-    """Build a :class:`DesignPoint` for an already-evaluated configuration."""
-    masks = config.build_masks(significance, unpacked=unpacked) if not config.is_exact else {}
-    retained = (
-        float(np.mean([np.asarray(m, dtype=bool).mean() for m in masks.values()]))
-        if masks
-        else 1.0
-    )
-    return DesignPoint(
-        config=config,
-        accuracy=accuracy,
-        conv_mac_reduction=conv_mac_reduction(qmodel, masks) if masks else 0.0,
-        total_macs=qmodel.total_macs(masks=masks or None),
-        conv_macs=qmodel.conv_macs(masks=masks or None),
-        retained_operand_fraction=retained,
-    )

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.dse import DSEConfig
 from repro.core.pipeline import AtamanPipeline, PipelineResult
 from repro.data.dataset import DataSplit
@@ -182,13 +180,11 @@ class ExperimentContext:
         board: BoardProfile = STM32U575,
         cache_dir: Optional[Path | str] = default_cache_dir(),
         seed: int = 7,
-        n_workers: Optional[int] = None,
     ):
         self.scale = scale if isinstance(scale, ScaleConfig) else get_scale(scale)
         self.board = board
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.seed = int(seed)
-        self.n_workers = n_workers
         self._split: Optional[DataSplit] = None
         self._models: Dict[str, ModelArtifacts] = {}
 
@@ -302,7 +298,6 @@ class ExperimentContext:
             tau_values=list(model_scale.tau_values),
             layer_subsets=model_scale.layer_subsets,
             max_eval_samples=model_scale.dse_eval_samples,
-            n_workers=self.n_workers,
         )
         dse_images, dse_labels = self.eval_set(model_scale.dse_eval_samples)
         result = pipeline.run(split.calibration.images, dse_images, dse_labels, dse_config=dse_config)

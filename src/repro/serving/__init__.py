@@ -80,7 +80,6 @@ from repro.serving.tenancy import (
     TokenBucket,
     UnknownTenant,
 )
-from repro.serving.workers import ReplicatedRunner
 
 # Fleet last: its modules import the serving submodules above.
 from repro.serving.fleet import Fleet, FleetRouter, ReplicaConfig, ReplicaProcess  # noqa: E402
@@ -121,5 +120,4 @@ __all__ = [
     "TenantTable",
     "TokenBucket",
     "PredictionServer",
-    "ReplicatedRunner",
 ]

@@ -43,7 +43,6 @@ class ReplicaConfig:
     max_batch_size: int = 32
     max_wait_ms: float = 5.0
     starvation_ms: Optional[float] = 2000.0
-    n_workers: int = 1
     profile_every: int = 0
     trace_capacity: int = 4096
     event_capacity: int = 512
@@ -88,7 +87,6 @@ def _replica_main(index: int, deployment: Any, config: ReplicaConfig, conn) -> N
         policy=_resolve_policy(config),
         max_batch_size=config.max_batch_size,
         max_wait_ms=config.max_wait_ms,
-        n_workers=config.n_workers,
         starvation_ms=config.starvation_ms,
         obs=obs,
         tenants=tenants,

@@ -6,18 +6,20 @@ continuously: pop a coalesced batch (up to ``max_batch_size`` requests or
 the scheduler owns a *deployment table*, and a batch never mixes models --
 then for each model group ask that deployment's
 :class:`~repro.serving.policy.ServingPolicy` which Pareto service level
-should run it, execute the batched forward pass (in-process or sharded over
-:class:`~repro.serving.workers.ReplicatedRunner` replicas), complete every
-request and record the batch in the shared
+should run it, execute the batched forward pass, complete every request and
+record the batch in the shared
 :class:`~repro.serving.metrics.ServerMetrics` sink.  As soon as one batch
 finishes the next is picked up -- vLLM-style continuous batching with the
 "model step" replaced by a batched NumPy int8 forward pass.
 
-Policies, cascade gates and worker runners are *per-deployment state*: each
-model on the table gets its own policy instance (policies are stateful --
-EWMA trackers, cooldowns, current-level markers), its own cascade gate and
-its own runner, so one model's overload cannot push another model off its
-operating point.
+Policies and cascade gates are *per-deployment state*: each model on the
+table gets its own policy instance (policies are stateful -- EWMA trackers,
+cooldowns, current-level markers) and its own cascade gate, so one model's
+overload cannot push another model off its operating point.
+
+The forward pass runs in the scheduler's own process: BLAS threads own the
+cores here, and more processes come only from the fleet
+(:mod:`repro.serving.fleet`), one scheduler per replica.
 
 Tenancy sits in front of the queue: :meth:`Scheduler.submit` resolves the
 request's tenant against the :class:`~repro.serving.tenancy.TenantTable`
@@ -52,7 +54,6 @@ from repro.serving.request import (
     RequestTimedOut,
 )
 from repro.serving.tenancy import TenantQuotaExceeded, TenantTable
-from repro.serving.workers import ReplicatedRunner
 from repro.utils.logging import get_logger
 from repro.workflow.cascade import softmax_margins
 
@@ -77,14 +78,13 @@ class UnknownModel(RequestError):
 class _DeploymentState:
     """Everything the scheduler keeps *per deployment* on its table."""
 
-    __slots__ = ("name", "deployment", "policy", "gate", "runner", "last_level_name")
+    __slots__ = ("name", "deployment", "policy", "gate", "last_level_name")
 
     def __init__(self, name: str, deployment: Deployment, policy: ServingPolicy):
         self.name = name
         self.deployment = deployment
         self.policy = policy
         self.gate: Optional[CascadeGate] = policy.cascade_gate(deployment.levels)
-        self.runner: Optional[ReplicatedRunner] = None
         self.last_level_name: Optional[str] = None
 
 
@@ -139,9 +139,6 @@ class Scheduler:
         Largest coalesced batch (before per-model partitioning).
     max_wait_ms:
         Longest a batch leader waits for co-riders before executing.
-    n_workers:
-        ``> 1`` shards large batches over per-process model replicas
-        (applies to every deployment on the table).
     metrics:
         Shared telemetry sink; a fresh one is created when omitted (backed
         by the observability bundle's registry, so the Prometheus endpoint
@@ -170,7 +167,6 @@ class Scheduler:
         policy: Union[str, ServingPolicy, type, Mapping[str, object]] = "fixed",
         max_batch_size: int = 32,
         max_wait_ms: float = 5.0,
-        n_workers: int = 1,
         metrics: Optional[ServerMetrics] = None,
         starvation_ms: Optional[float] = 2000.0,
         obs: Optional[Observability] = None,
@@ -221,11 +217,11 @@ class Scheduler:
             }
         )
         self.queue.events = obs.events if obs.events.enabled else None
-        # Per-deployment state: each model gets its own policy instance,
-        # cascade gate and worker runner.  Cascade telemetry metadata is
-        # installed for the first gated deployment (the snapshot has one
-        # cascade block; per-model cascade counters stay separable via the
-        # attempts' level labels).
+        # Per-deployment state: each model gets its own policy instance and
+        # cascade gate.  Cascade telemetry metadata is installed for the
+        # first gated deployment (the snapshot has one cascade block;
+        # per-model cascade counters stay separable via the attempts' level
+        # labels).
         self._states: Dict[str, _DeploymentState] = {}
         for name, dep in table.items():
             self._states[name] = _DeploymentState(
@@ -244,9 +240,6 @@ class Scheduler:
                 )
                 break
         self._sections_emitted = 0
-        self.n_workers = int(n_workers)
-        self._runners_open = False
-        self._open_runners()
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -290,12 +283,6 @@ class Scheduler:
         return {name: state.policy for name, state in self._states.items()}
 
     # ------------------------------------------------------------------ lifecycle
-    def _open_runners(self) -> None:
-        if not self._runners_open:
-            for state in self._states.values():
-                state.runner = ReplicatedRunner(state.deployment, n_workers=self.n_workers)
-            self._runners_open = True
-
     @property
     def running(self) -> bool:
         """Whether the scheduler core thread is alive."""
@@ -305,27 +292,19 @@ class Scheduler:
         """Start (or restart) the scheduler core thread (idempotent)."""
         if self.running:
             return self
-        # A stop() released the worker replicas; restarting rebuilds them
-        # so n_workers > 1 survives a stop/start cycle.
-        self._open_runners()
         self._stop.clear()
         self._thread = threading.Thread(target=self._run_loop, name="serving-scheduler", daemon=True)
         self._thread.start()
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop the core, fail pending requests and release the workers."""
+        """Stop the core and fail pending requests."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
             thread.join(timeout)
             self._thread = None
         self._record_drain_failures(self.queue.drain(SchedulerStopped("scheduler stopped")))
-        for state in self._states.values():
-            if state.runner is not None:
-                state.runner.close()
-                state.runner = None
-        self._runners_open = False
 
     def _record_drain_failures(self, failed: List[Request]) -> None:
         """Attribute drained (shutdown-failed) requests per priority class."""
@@ -576,8 +555,7 @@ class Scheduler:
     ) -> None:
         """Run one same-model, same-level group: forward pass, telemetry, completion.
 
-        With a cascade ``gate`` and ``level_idx`` at its cheap level, the
-        group runs through :meth:`ReplicatedRunner.forward` for logits;
+        With a cascade ``gate`` and ``level_idx`` at its cheap level,
         requests whose softmax margin clears the gate's threshold complete
         with the cheap prediction, the rest are re-enqueued pinned to the
         exact level -- unless their deadline headroom is below the gate's
@@ -586,24 +564,17 @@ class Scheduler:
         """
         obs = self.obs
         profiler = obs.profiler
-        runner = state.runner
         level = state.deployment.levels[level_idx]
         gated = gate is not None and level_idx == gate.cheap_index
         xs = np.stack([request.x for request in group])
         started = time.monotonic()
         try:
             with profiler.timer("execute"):
-                if gated:
-                    logits = runner.forward(
-                        xs, level=level_idx, profiler=profiler if sampled else None
-                    )
-                    predictions = logits.argmax(axis=-1)
-                    margins = softmax_margins(logits)
-                else:
-                    predictions = runner.predict(
-                        xs, level=level_idx, profiler=profiler if sampled else None
-                    )
-                    margins = None
+                logits = state.deployment.forward(
+                    xs, level=level_idx, profiler=profiler if sampled else None
+                )
+                predictions = logits.argmax(axis=-1)
+                margins = softmax_margins(logits) if gated else None
         except Exception as error:  # pragma: no cover - defensive: fail the batch, keep serving
             logger.exception(
                 "batch of %d failed at %s level %s", len(group), state.name, level.name

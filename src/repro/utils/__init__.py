@@ -1,9 +1,8 @@
-"""Shared utilities: RNG handling, logging, serialization, parallel map, validation."""
+"""Shared utilities: RNG handling, logging, serialization, validation."""
 
 from repro.utils.rng import RngMixin, as_rng, spawn_rngs
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.serialization import load_json, load_npz, save_json, save_npz
-from repro.utils.parallel import parallel_map
 from repro.utils.validation import (
     check_positive,
     check_in_range,
@@ -22,7 +21,6 @@ __all__ = [
     "load_json",
     "save_npz",
     "load_npz",
-    "parallel_map",
     "check_positive",
     "check_in_range",
     "check_shape",

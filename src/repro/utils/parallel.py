@@ -1,122 +1,31 @@
-"""A small, dependency-free parallel map used by the DSE.
+"""Who owns the cores: BLAS threads inside a process, the fleet across processes.
 
-The paper's design-space exploration evaluated >10,000 approximate
-configurations offline using 6 CPU threads.  Our DSE uses the same pattern:
-the work items are pure functions of picklable arguments, so a process pool
-is sufficient.  For small workloads (or ``n_workers <= 1``) we fall back to a
-plain serial loop to avoid pool start-up overhead -- profiling first,
-parallelising only when it pays off, per the HPC guides.
+The paper ran its offline design-space exploration on 6 CPU threads.  Here
+every forward pass is a batched NumPy GEMM, and BLAS already spreads each one
+over all cores.  A process pool on top of that (over DSE designs, or over the
+shards of one serving batch) only pays when every worker is pinned to one
+BLAS thread.  Measured on a 2-core host (medians of interleaved runs):
+
+=====================================================  =============  ==============
+workload                                               default BLAS   1 BLAS thread
+=====================================================  =============  ==============
+LeNet DSE sweep (18 designs x 256 images), serial      2121 ms        2317 ms
+same sweep over 2 worker processes                     15280 ms       1299 ms
+AlexNet batch of 32 at tau 0.05, in-process            24-26 ms       24-27 ms
+same batch sharded over 2 worker processes             87 ms          20.5 ms
+=====================================================  =============  ==============
+
+Nothing in the library pins BLAS, so both pools lost wherever they ran at
+default settings, and they were deleted.  The DSE evaluates its designs in a
+plain loop, the serving scheduler runs each batch in its own process, and the
+fleet (``serve --replicas N``) is the only path that runs more than one
+process.  A pool can come back only as new code that pins BLAS to one thread
+per worker and beats the serial path on the benchmark.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
 
 def default_workers() -> int:
-    """Default worker count: all cores minus one, at least one."""
-    return max(1, (os.cpu_count() or 1) - 1)
-
-
-def parallel_map(
-    func: Callable[[T], R],
-    items: Sequence[T] | Iterable[T],
-    n_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    min_items_for_pool: int = 8,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: tuple = (),
-) -> List[R]:
-    """Map ``func`` over ``items``, optionally using a process pool.
-
-    Parameters
-    ----------
-    func:
-        Picklable callable applied to each item.
-    items:
-        Work items; materialised into a list.
-    n_workers:
-        Number of worker processes.  ``None`` uses :func:`default_workers`;
-        ``0`` or ``1`` forces serial execution.
-    chunksize:
-        Items handed to each worker at a time (larger amortises IPC
-        overhead).  ``None`` picks ``len(items) / (4 * n_workers)`` -- a few
-        chunks per worker for load balance without per-item IPC.
-    min_items_for_pool:
-        Below this many items the serial path is always used.
-    initializer, initargs:
-        Per-worker setup hook: use it to ship large *invariant* state to each
-        worker once (e.g. as module globals) instead of pickling it into
-        every work item.  The serial path calls it once in-process.
-
-    Returns
-    -------
-    list
-        Results in input order.
-    """
-    items = list(items)
-    if n_workers is None:
-        n_workers = default_workers()
-    if n_workers <= 1 or len(items) < min_items_for_pool:
-        if initializer is not None:
-            initializer(*initargs)
-        return [func(item) for item in items]
-    if chunksize is None:
-        chunksize = max(1, len(items) // (4 * n_workers))
-    with ProcessPoolExecutor(
-        max_workers=n_workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        return list(pool.map(func, items, chunksize=max(1, chunksize)))
-
-
-class WorkerPool:
-    """A persistent process pool with per-worker initializer state.
-
-    :func:`parallel_map` spins a pool up and down per call, which is right
-    for one-shot sweeps like the DSE but wrong for long-lived consumers such
-    as the serving scheduler, where the pool (and the model replica each
-    worker holds) must outlive any single batch.  ``WorkerPool`` keeps the
-    executor alive until :meth:`shutdown`; the ``initializer`` runs once per
-    worker process and typically installs large invariant state (a model
-    replica) as module globals.
-
-    Usable as a context manager; ``n_workers <= 1`` raises -- callers should
-    use the serial path directly instead of paying pool overhead.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: tuple = (),
-    ):
-        if n_workers <= 1:
-            raise ValueError("WorkerPool needs n_workers >= 2; run serially otherwise")
-        self.n_workers = int(n_workers)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_workers, initializer=initializer, initargs=initargs
-        )
-
-    def submit(self, func: Callable[..., R], *args) -> "Future[R]":
-        """Schedule ``func(*args)`` on a worker; returns the future."""
-        return self._pool.submit(func, *args)
-
-    def map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``func`` to every item concurrently; results in input order."""
-        futures = [self._pool.submit(func, item) for item in items]
-        return [f.result() for f in futures]
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers (idempotent)."""
-        self._pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    """Worker processes an in-process computation uses: always 1 (see the module docstring)."""
+    return 1

@@ -2,8 +2,8 @@
 
 Every stochastic component in the library accepts either an integer seed or a
 :class:`numpy.random.Generator`.  Centralising the coercion here keeps runs
-reproducible and makes it easy to spawn independent child generators for
-parallel work (the recommended NumPy pattern, see the SeedSequence docs).
+reproducible and makes it easy to spawn independent child generators, one
+per component (the recommended NumPy pattern, see the SeedSequence docs).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def spawn_rngs(seed: SeedLike, n: int) -> list:
     """Spawn ``n`` statistically independent generators from a single seed.
 
     Uses ``SeedSequence.spawn`` so children are independent regardless of the
-    order in which they are consumed -- important for parallel DSE workers.
+    order in which they are consumed (the zoo models draw one per layer).
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

@@ -19,7 +19,6 @@ their outputs content-addressed and re-run only what a config change touches.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.core.calibration import ActivationCalibrator
@@ -152,12 +151,11 @@ class DSEStage(Stage):
 
     def config(self) -> Dict[str, Any]:
         """DSE configuration + resolved strategy class (the cache key)."""
-        # n_workers only parallelises the sweep -- it cannot change the result,
-        # so it is normalised out of the cache key.  The resolved strategy
-        # class is hashed alongside its registry name, so re-registering a
-        # different implementation under the same name invalidates the cache.
+        # The resolved strategy class is hashed alongside its registry name,
+        # so re-registering a different implementation under the same name
+        # invalidates the cache.
         return {
-            "dse_config": replace(self.dse_config, n_workers=None),
+            "dse_config": self.dse_config,
             "board": self.board,
             "strategy_class": _class_identity(SEARCH_STRATEGIES.resolve(self.dse_config.strategy)),
         }

@@ -23,6 +23,11 @@ from repro.nn import Adam, Trainer
 from repro.quant import quantize_model
 
 
+def pytest_configure(config):
+    """Register the suite's custom markers."""
+    config.addinivalue_line("markers", "slow: takes several seconds; still part of tier-1")
+
+
 @pytest.fixture(scope="session")
 def rng():
     """A deterministic NumPy generator for ad-hoc random data."""

@@ -18,7 +18,6 @@ from repro.serving import (
     Deployment,
     LatencySLOPolicy,
     MetricsSnapshot,
-    Observability,
     Request,
     RequestQueue,
     Scheduler,

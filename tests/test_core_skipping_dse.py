@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,21 +280,17 @@ class TestDSE:
                 small_split.test.labels[:5],
             )
 
-    @pytest.mark.slow
-    def test_run_dse_parallel_workers_match_serial(self, tiny_qmodel, tiny_significance, small_split):
-        """Worker processes (the paper used 6 threads) give identical results to the serial path."""
-        images = small_split.test.images[:48]
-        labels = small_split.test.labels[:48]
-        taus = [0.0, 0.01, 0.03, 0.05, 0.08, 0.1]
-        serial = run_dse(
+    def test_run_dse_keeps_no_reference_to_its_inputs(self, tiny_qmodel, tiny_significance, small_split):
+        """Once run_dse returns, the caller's evaluation arrays are free to go."""
+        images = small_split.test.images[:16].astype(np.float32, copy=True)
+        labels = small_split.test.labels[:16]
+        assert np.asarray(images, dtype=np.float32) is images
+        alive = weakref.ref(images)
+        result = run_dse(
             tiny_qmodel, tiny_significance, images, labels,
-            dse_config=DSEConfig(tau_values=taus, n_workers=1),
+            dse_config=DSEConfig(tau_values=[0.0, 0.05]),
         )
-        parallel = run_dse(
-            tiny_qmodel, tiny_significance, images, labels,
-            dse_config=DSEConfig(tau_values=taus, n_workers=2),
-        )
-        assert len(serial.points) == len(parallel.points)
-        for a, b in zip(serial.points, parallel.points):
-            assert a.accuracy == pytest.approx(b.accuracy)
-            assert a.conv_mac_reduction == pytest.approx(b.conv_mac_reduction)
+        del images
+        gc.collect()
+        assert alive() is None
+        assert len(result.points) == 3

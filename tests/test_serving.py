@@ -22,7 +22,6 @@ from repro.serving import (
     LatencySLOPolicy,
     PredictionServer,
     QueueDepthPolicy,
-    ReplicatedRunner,
     Request,
     RequestError,
     RequestQueue,
@@ -564,12 +563,6 @@ class TestScheduler:
             snapshot = scheduler.metrics.snapshot()
         assert snapshot.requests_completed == 0
         assert snapshot.batches == 0
-
-    def test_multi_worker_replicas_match_serial(self, deployment, small_split):
-        xs = _sample_images(small_split, 24)
-        expected = deployment.qmodel.predict_classes(xs, masks=None)
-        with ReplicatedRunner(deployment, n_workers=2, min_shard=4) as runner:
-            np.testing.assert_array_equal(runner.predict(xs, level=0), expected)
 
 
 # --------------------------------------------------------------------------- timeout shedding

@@ -1,14 +1,17 @@
-"""Tests for repro.utils (rng, serialization, validation, parallel, logging)."""
+"""Tests for repro.utils (rng, serialization, validation, logging, process ownership)."""
 
 from __future__ import annotations
 
+import ast
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.utils import (
     as_rng,
     check_choice,
@@ -19,7 +22,6 @@ from repro.utils import (
     get_logger,
     load_json,
     load_npz,
-    parallel_map,
     save_json,
     save_npz,
     set_verbosity,
@@ -144,24 +146,33 @@ class TestValidation:
             check_choice("x", "c", ["a", "b"])
 
 
-def _square(x):
-    return x * x
+class TestProcessOwnership:
+    """BLAS threads own the cores inside a process; only the fleet starts processes."""
 
-
-class TestParallel:
-    def test_serial_path(self):
-        assert parallel_map(_square, [1, 2, 3], n_workers=1) == [1, 4, 9]
-
-    def test_small_inputs_stay_serial(self):
-        assert parallel_map(_square, [2], n_workers=8) == [4]
-
-    def test_pool_path_preserves_order(self):
-        items = list(range(40))
-        result = parallel_map(_square, items, n_workers=2, min_items_for_pool=2)
-        assert result == [x * x for x in items]
-
-    def test_generator_input(self):
-        assert parallel_map(_square, (x for x in range(5)), n_workers=1) == [0, 1, 4, 9, 16]
+    def test_only_the_fleet_imports_process_pools(self):
+        package = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            module = path.relative_to(package.parent).as_posix()
+            if module.startswith("repro/serving/fleet/"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    modules, names = [alias.name for alias in node.names], []
+                elif isinstance(node, ast.ImportFrom):
+                    modules, names = [node.module or ""], [alias.name for alias in node.names]
+                elif isinstance(node, ast.Attribute):
+                    modules, names = [], [node.attr]
+                else:
+                    continue
+                if "ProcessPoolExecutor" in names or any(
+                    name.split(".")[0] == "multiprocessing" or name == "concurrent.futures.process"
+                    for name in modules
+                ):
+                    offenders.append(f"{module}:{node.lineno}")
+        assert offenders == [], (
+            "process pools outside repro/serving/fleet/; see repro.utils.parallel: " + ", ".join(offenders)
+        )
 
 
 class TestLogging:

@@ -362,21 +362,6 @@ class TestStrategiesViaDSEConfig:
                 dse_config=DSEConfig(tau_values=[0.0], strategy="latency-aware"),
             )
 
-    def test_n_workers_does_not_invalidate_dse_cache(self):
-        from repro.workflow import DSEStage
-
-        sig_serial = DSEStage(DSEConfig(tau_values=[0.0, 0.05], n_workers=1)).signature(
-            {k: "d" for k in DSEStage.requires}
-        )
-        sig_parallel = DSEStage(DSEConfig(tau_values=[0.0, 0.05], n_workers=8)).signature(
-            {k: "d" for k in DSEStage.requires}
-        )
-        assert sig_serial == sig_parallel
-        sig_other = DSEStage(DSEConfig(tau_values=[0.0, 0.1], n_workers=1)).signature(
-            {k: "d" for k in DSEStage.requires}
-        )
-        assert sig_serial != sig_other
-
     def test_greedy_honours_eval_cap_and_tau_sweep(self, tiny_qmodel, tiny_significance, small_split):
         from repro.core import run_dse
 
@@ -427,22 +412,26 @@ class TestStrategiesViaDSEConfig:
 
 class TestCLIIntegration:
     def test_workers_flag_on_every_subcommand(self):
+        """The removed worker-count flags are usage errors, not silently ignored."""
         from repro.cli import build_parser
 
         parser = build_parser()
-        for command in ("train", "quantize", "explore", "codegen", "deploy", "reproduce"):
-            args = parser.parse_args(
-                [command, "--workers", "2"]
-                + {
-                    "train": ["--out", "x"],
-                    "quantize": ["--model-path", "m", "--out", "x"],
-                    "explore": ["--qmodel", "q", "--out", "x"],
-                    "codegen": ["--qmodel", "q", "--out", "x"],
-                    "deploy": ["--qmodel", "q"],
-                    "reproduce": [],
-                }[command]
-            )
-            assert args.workers == 2
+        required = {
+            "train": ["--out", "x"],
+            "quantize": ["--model-path", "m", "--out", "x"],
+            "explore": ["--qmodel", "q", "--out", "x"],
+            "codegen": ["--qmodel", "q", "--out", "x"],
+            "verify-codegen": ["--qmodel", "q"],
+            "deploy": ["--qmodel", "q"],
+            "serve": ["--qmodel", "q"],
+            "reproduce": [],
+        }
+        removed = [(command, "--workers") for command in required] + [("serve", "--shard-workers")]
+        for command, flag in removed:
+            parser.parse_args([command] + required[command])
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([command, flag, "2"] + required[command])
+            assert excinfo.value.code == 2, (command, flag)
 
     def test_explore_strategy_and_resume_flags(self):
         from repro.cli import build_parser
