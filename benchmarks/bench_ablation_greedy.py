@@ -1,17 +1,16 @@
 """Ablation A3: uniform-threshold DSE vs the greedy per-layer search.
 
 The paper sweeps a single threshold tau over a chosen layer subset.  The
-greedy strategy (:func:`repro.core.strategies.greedy_per_layer_search`)
-assigns each layer its own threshold under the same accuracy-loss budget;
-this ablation quantifies how much extra MAC reduction the heterogeneous
-thresholds buy on the tiny CNN.
+greedy strategy (``DSEConfig(strategy="greedy")``) assigns each layer its own
+threshold under the same accuracy-loss budget; this ablation quantifies how
+much extra MAC reduction the heterogeneous thresholds buy on the tiny CNN.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import greedy_per_layer_search
+from repro.core import DSEConfig, run_dse
 from repro.evaluation.reports import format_table
 
 from bench_utils import record_result
@@ -32,15 +31,20 @@ def test_ablation_greedy_vs_uniform(benchmark, context, paper_models):
         rows = []
         for budget in BUDGETS:
             uniform = result.dse.best_within_loss(budget)
-            greedy = greedy_per_layer_search(
+            greedy = run_dse(
                 qmodel,
                 result.significance,
                 images,
                 labels,
-                max_accuracy_loss=budget,
-                tau_candidates=TAU_LADDER,
-                max_steps=24,
-            )
+                dse_config=DSEConfig(
+                    strategy="greedy",
+                    strategy_options={
+                        "max_accuracy_loss": budget,
+                        "tau_candidates": TAU_LADDER,
+                        "max_steps": 24,
+                    },
+                ),
+            ).points[-1]  # the last accepted step is the search's answer
             rows.append(
                 {
                     "loss budget": f"{budget:.0%}",

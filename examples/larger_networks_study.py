@@ -6,8 +6,8 @@ The paper's third contribution argues that approximate computing lets MCUs run
 
 1. deploys the exact CMSIS-NN LeNet and AlexNet baselines,
 2. deploys approximate AlexNet designs at 0%/5% accuracy-loss budgets, and
-3. additionally runs the greedy per-layer threshold search
-   (:func:`repro.core.greedy_per_layer_search`) to show how heterogeneous
+3. additionally runs the greedy per-layer threshold search (the ``greedy``
+   strategy of :func:`repro.core.run_dse`) to show how heterogeneous
    per-layer thresholds compare with the paper's uniform-threshold DSE.
 
 Run:  python examples/larger_networks_study.py [--scale ci|fast|full]
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import greedy_per_layer_search
+from repro.core import DSEConfig, run_dse
 from repro.evaluation import (
     ExperimentContext,
     build_larger_network_comparison,
@@ -44,14 +44,17 @@ def main() -> None:
     # Part 2: greedy per-layer thresholds on the large model.
     artifacts = context.build_model("alexnet")
     eval_images, eval_labels = context.eval_set()
-    greedy = greedy_per_layer_search(
+    greedy = run_dse(
         artifacts.qmodel,
         artifacts.result.significance,
         eval_images[:192],
         eval_labels[:192],
-        max_accuracy_loss=args.loss,
-        max_steps=24,
-    )
+        dse_config=DSEConfig(
+            strategy="greedy",
+            strategy_options={"max_accuracy_loss": args.loss, "max_steps": 24},
+        ),
+        unpacked=artifacts.result.unpacked,
+    ).points[-1]  # the last accepted step is the search's answer
     uniform = artifacts.result.dse.best_within_loss(args.loss)
     comparison = [
         {

@@ -6,7 +6,8 @@ The five numbered stages of the paper's Fig. 1 map onto this package:
 2. *Input distribution capture*        -> :mod:`repro.core.calibration`
 3. *Significance S[] calculation*      -> :mod:`repro.core.significance`
 4. *Approximate CNN code generation*   -> :mod:`repro.core.skipping` / :mod:`repro.core.codegen`
-5. *DSE + configuration extraction*    -> :mod:`repro.core.dse` / :mod:`repro.core.pareto`
+5. *DSE + configuration extraction*    -> :mod:`repro.core.dse` / :mod:`repro.core.strategies` /
+                                         :mod:`repro.core.pareto`
 
 :class:`repro.core.pipeline.AtamanPipeline` chains all of the above.
 """
@@ -25,7 +26,7 @@ from repro.core.skipping import (
     retained_fraction,
 )
 from repro.core.config import ApproxConfig, LayerApproxSpec
-from repro.core.dse import DSEConfig, DSEResult, DesignPoint, exhaustive_sweep, run_dse
+from repro.core.dse import DSEConfig, DSEResult, DesignEvaluator, DesignPoint, run_dse
 from repro.core.pareto import pareto_front, select_by_accuracy_loss
 from repro.core.codegen import (
     ChannelPlan,
@@ -39,13 +40,8 @@ from repro.core.pipeline import AtamanPipeline, PipelineResult
 from repro.core.strategies import (
     ExhaustiveSearch,
     GreedyPerLayerSearch,
-    GreedySearchResult,
-    GreedyStep,
     LatencyAwareSearch,
     SearchStrategy,
-    estimate_design_latency_ms,
-    greedy_per_layer_search,
-    latency_aware_selection,
 )
 
 __all__ = [
@@ -66,9 +62,9 @@ __all__ = [
     "LayerApproxSpec",
     "DSEConfig",
     "DSEResult",
+    "DesignEvaluator",
     "DesignPoint",
     "run_dse",
-    "exhaustive_sweep",
     "pareto_front",
     "select_by_accuracy_loss",
     "ChannelPlan",
@@ -79,13 +75,8 @@ __all__ = [
     "estimate_code_bytes",
     "AtamanPipeline",
     "PipelineResult",
-    "GreedySearchResult",
-    "GreedyStep",
-    "greedy_per_layer_search",
-    "latency_aware_selection",
     "SearchStrategy",
     "ExhaustiveSearch",
     "GreedyPerLayerSearch",
     "LatencyAwareSearch",
-    "estimate_design_latency_ms",
 ]

@@ -3,10 +3,15 @@
 The paper performs an exhaustive, offline DSE over the significance threshold
 tau (step 0.001 for LeNet, 0.01 for AlexNet, range [0, 0.1]) and over the set
 of approximated layers, simulating the classification accuracy of every
-configuration and recording the normalised MAC reduction.  The paper ran the
-exploration on 6 CPU threads; here the designs are evaluated one after another
-in a plain loop, and the cores belong to the BLAS threads inside each forward
-pass (:mod:`repro.utils.parallel` records why).
+configuration and recording the normalised MAC reduction.
+
+:func:`run_dse` splits the job in two.  A search strategy from
+:mod:`repro.core.strategies` chooses which configurations to score, and one
+:class:`DesignEvaluator` scores them all: it is the only code that turns a
+configuration into a :class:`DesignPoint`.  The paper ran the exploration on
+6 CPU threads; here the designs are evaluated one after another in a plain
+loop, and the cores belong to the BLAS threads inside each forward pass
+(:mod:`repro.utils.parallel` records why).
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from repro.core.config import ApproxConfig
 from repro.core.significance import SignificanceResult
 from repro.core.skipping import Granularity, conv_mac_reduction
 from repro.core.unpacking import UnpackedLayer
+from repro.isa.cost_model import ExecutionStyle, KernelCostModel
 from repro.isa.profiles import BoardProfile
+from repro.kernels.cycle_counters import CycleCounter
 from repro.quant.qmodel import QuantizedModel
 from repro.registry import SEARCH_STRATEGIES
 from repro.utils.logging import get_logger
@@ -100,7 +107,8 @@ class DesignPoint:
     total_macs: int
     conv_macs: int
     retained_operand_fraction: float
-    #: Board-level latency estimate; filled in by the latency-aware strategy.
+    #: Board-level latency estimate; set when the design is evaluated for a
+    #: board (the latency-aware strategy).
     latency_ms: Optional[float] = None
 
     def as_dict(self) -> Dict[str, object]:
@@ -147,15 +155,20 @@ class DSEResult:
         )
 
     def best_within_loss(self, max_accuracy_loss: float) -> Optional[DesignPoint]:
-        """Largest MAC reduction whose accuracy loss stays within the budget."""
+        """The best design whose accuracy loss stays within the budget.
+
+        Lowest latency when every point carries a latency estimate (the
+        latency-aware strategy), otherwise the largest conv-MAC reduction.
+        """
         from repro.core.pareto import select_by_accuracy_loss
 
+        by_latency = all(p.latency_ms is not None for p in self.points)
         return select_by_accuracy_loss(
             self.points,
             baseline_accuracy=self.baseline_accuracy,
             max_accuracy_loss=max_accuracy_loss,
             accuracy=lambda p: p.accuracy,
-            gain=lambda p: p.conv_mac_reduction,
+            gain=(lambda p: -p.latency_ms) if by_latency else (lambda p: p.conv_mac_reduction),
         )
 
     def as_table(self) -> List[Dict[str, object]]:
@@ -208,6 +221,66 @@ def design_point(
     )
 
 
+class DesignEvaluator:
+    """Scores configurations: the only code that turns one into a :class:`DesignPoint`.
+
+    Construction checks that the evaluation images and labels align, caps
+    them at ``dse_config.max_eval_samples`` and simulates the exact design's
+    accuracy once (:attr:`baseline_accuracy`).  Every search strategy hands
+    its configurations to :meth:`evaluate`, so all of them score designs on
+    the same images, from masks built the same way.
+    """
+
+    def __init__(
+        self,
+        qmodel: QuantizedModel,
+        significance: SignificanceResult,
+        eval_images: np.ndarray,
+        eval_labels: np.ndarray,
+        dse_config: Optional[DSEConfig] = None,
+        unpacked: Optional[Dict[str, UnpackedLayer]] = None,
+    ):
+        eval_images = np.asarray(eval_images, dtype=np.float32)
+        eval_labels = np.asarray(eval_labels)
+        if eval_images.shape[0] != eval_labels.shape[0]:
+            raise ValueError("eval_images and eval_labels must be aligned")
+        cap = (dse_config or DSEConfig()).max_eval_samples
+        self.qmodel = qmodel
+        self.significance = significance
+        self.unpacked = unpacked
+        self.eval_images = eval_images[:cap]
+        self.eval_labels = eval_labels[:cap]
+        self.baseline_accuracy = qmodel.evaluate_accuracy(self.eval_images, self.eval_labels)
+
+    def evaluate(
+        self, configs: Sequence[ApproxConfig], board: Optional[BoardProfile] = None
+    ) -> List[DesignPoint]:
+        """One :class:`DesignPoint` per configuration, in order.
+
+        Each configuration's masks are built once.  They give its simulated
+        accuracy, its MAC counts and, when a ``board`` is given, the latency
+        estimate of its unpacked code on that board.
+        """
+        logger.info("evaluating %d designs of %s on %d samples",
+                    len(configs), self.qmodel.name, self.eval_images.shape[0])
+        points: List[DesignPoint] = []
+        for config in configs:
+            masks = config.build_masks(self.significance, unpacked=self.unpacked)
+            accuracy = (
+                self.baseline_accuracy
+                if config.is_exact
+                else self.qmodel.evaluate_accuracy(self.eval_images, self.eval_labels, masks=masks)
+            )
+            point = design_point(self.qmodel, config, masks, accuracy)
+            if board is not None:
+                counter = CycleCounter()
+                sample = np.zeros((1,) + self.qmodel.input_shape, dtype=np.float32)
+                self.qmodel.forward(sample, masks=masks, counter=counter)
+                point.latency_ms = KernelCostModel(ExecutionStyle.UNPACKED).latency_ms(counter, board)
+            points.append(point)
+        return points
+
+
 def run_dse(
     qmodel: QuantizedModel,
     significance: SignificanceResult,
@@ -219,6 +292,10 @@ def run_dse(
     board: Optional[BoardProfile] = None,
 ) -> DSEResult:
     """Explore the design space with the strategy named by ``dse_config.strategy``.
+
+    The strategy chooses which configurations to score; one
+    :class:`DesignEvaluator` scores them, and its exact-design accuracy is
+    the result's baseline.
 
     Parameters
     ----------
@@ -241,84 +318,14 @@ def run_dse(
         Target board; required by latency-objective strategies only.
     """
     dse_config = dse_config or DSEConfig()
-    strategy_cls = SEARCH_STRATEGIES.resolve(dse_config.strategy)
-    strategy = strategy_cls(**dse_config.strategy_options)
-    return strategy.search(
-        qmodel,
-        significance,
-        eval_images,
-        eval_labels,
-        dse_config=dse_config,
-        unpacked=unpacked,
-        layer_names=layer_names,
-        board=board,
-    )
-
-
-def exhaustive_sweep(
-    qmodel: QuantizedModel,
-    significance: SignificanceResult,
-    eval_images: np.ndarray,
-    eval_labels: np.ndarray,
-    dse_config: Optional[DSEConfig] = None,
-    unpacked: Optional[Dict[str, UnpackedLayer]] = None,
-    layer_names: Optional[Sequence[str]] = None,
-) -> DSEResult:
-    """The paper's exhaustive sweep: simulate every (tau, layer-subset) design."""
-    dse_config = dse_config or DSEConfig()
-    eval_images = np.asarray(eval_images, dtype=np.float32)
-    eval_labels = np.asarray(eval_labels)
-    if eval_images.shape[0] != eval_labels.shape[0]:
-        raise ValueError("eval_images and eval_labels must be aligned")
-    if eval_images.shape[0] > dse_config.max_eval_samples:
-        eval_images = eval_images[: dse_config.max_eval_samples]
-        eval_labels = eval_labels[: dse_config.max_eval_samples]
-
+    strategy = SEARCH_STRATEGIES.resolve(dse_config.strategy)(**dse_config.strategy_options)
     names = list(layer_names) if layer_names is not None else significance.layer_names()
-    taus = dse_config.resolved_taus()
-    subsets = _generate_layer_subsets(names, dse_config.layer_subsets)
-
-    configs: List[ApproxConfig] = []
-    for subset in subsets:
-        for tau in taus:
-            if tau == 0.0 and len(subset) != len(names):
-                # tau=0 skips only exactly-zero-significance operands; exploring it
-                # once (on the full subset) is enough.
-                continue
-            label = f"{qmodel.name}:tau={tau:g}:layers={'+'.join(subset)}"
-            configs.append(
-                ApproxConfig.uniform(
-                    qmodel.name,
-                    subset,
-                    tau,
-                    granularity=dse_config.granularity,
-                    metric=dse_config.metric,
-                    label=label,
-                )
-            )
-    if dse_config.max_configs is not None and len(configs) > dse_config.max_configs:
-        stride = max(1, len(configs) // dse_config.max_configs)
-        configs = configs[::stride][: dse_config.max_configs]
-
-    logger.info(
-        "running DSE on %s: %d configurations, %d eval samples",
-        qmodel.name,
-        len(configs),
-        eval_images.shape[0],
-    )
-
-    baseline_accuracy = qmodel.evaluate_accuracy(eval_images, eval_labels)
-    points: List[DesignPoint] = []
-    if dse_config.include_exact:
-        points.append(design_point(qmodel, ApproxConfig.exact(qmodel.name), {}, baseline_accuracy))
-    for config in configs:
-        masks = config.build_masks(significance, unpacked=unpacked)
-        accuracy = qmodel.evaluate_accuracy(eval_images, eval_labels, masks=masks)
-        points.append(design_point(qmodel, config, masks, accuracy))
-
+    if not names:
+        raise ValueError("the model has no approximable layers")
+    evaluator = DesignEvaluator(qmodel, significance, eval_images, eval_labels, dse_config, unpacked)
     return DSEResult(
-        points=points,
-        baseline_accuracy=baseline_accuracy,
+        points=strategy.search(evaluator, dse_config, names, board),
+        baseline_accuracy=evaluator.baseline_accuracy,
         baseline_total_macs=qmodel.total_macs(),
         baseline_conv_macs=qmodel.conv_macs(),
         config=dse_config,

@@ -9,7 +9,8 @@ with a decorator::
 
     @SEARCH_STRATEGIES.register("annealing")
     class AnnealingSearch(SearchStrategy):
-        ...
+        def search(self, evaluator, dse_config, layer_names, board=None):
+            ...  # choose configurations; evaluator.evaluate(configs) scores them
 
 and are resolved by name anywhere a string is accepted (``DSEConfig.strategy``,
 ``compute_significance(metric=...)``, the CLI's ``--strategy/--engine/--board``

@@ -304,10 +304,10 @@ class Scheduler:
         if thread is not None:
             thread.join(timeout)
             self._thread = None
-        self._record_drain_failures(self.queue.drain(SchedulerStopped("scheduler stopped")))
+        self._record_failures(self.queue.drain(SchedulerStopped("scheduler stopped")))
 
-    def _record_drain_failures(self, failed: List[Request]) -> None:
-        """Attribute drained (shutdown-failed) requests per priority class."""
+    def _record_failures(self, failed: List[Request]) -> None:
+        """Attribute failed requests (drained at shutdown or of a failed batch) per priority."""
         if not failed:
             return
         per_priority: Dict[str, int] = {}
@@ -412,7 +412,7 @@ class Scheduler:
             # A stop() raced this submit past the running check; its drain may
             # have missed the request, so fail whatever is still queued rather
             # than leaving a waiter hanging until its timeout.
-            self._record_drain_failures(self.queue.drain(SchedulerStopped("scheduler stopped")))
+            self._record_failures(self.queue.drain(SchedulerStopped("scheduler stopped")))
         return request
 
     def submit_many(
@@ -444,8 +444,38 @@ class Scheduler:
             batch = self.queue.get_batch(self.max_batch_size, self.max_wait_ms)
             if not batch:
                 continue  # idle poll: no busy spin, just a shutdown-flag check
-            self._execute(batch, poll_started=poll_started)
+            popped_at = time.monotonic()
+            try:
+                self._execute(batch, poll_started=poll_started)
+            except Exception as error:
+                self._fail_batch(batch, popped_at, error)
         logger.info("scheduler core stopped")
+
+    def _fail_batch(self, batch: List[Request], popped_at: float, error: Exception) -> None:
+        """Fail what is left of a batch whose processing raised; the loop keeps serving.
+
+        Requests that already reached a terminal state keep it, and a cascade
+        escalation re-queued during this pass (enqueued after the pop) stays
+        queued for its exact-level attempt.
+        """
+        logger.exception("batch of %d failed", len(batch))
+        failed = [
+            request
+            for request in batch
+            if not request.done and request.enqueued_at < popped_at
+        ]
+        for request in failed:
+            request.fail(error)
+        self._record_failures(failed)
+        if self.obs.events.enabled:
+            self.obs.events.emit(
+                "batch-failure",
+                f"batch of {len(batch)} failed: {error}",
+                level="error",
+                batch_size=len(batch),
+                failed=len(failed),
+                error=str(error),
+            )
 
     def _execute(self, batch: List[Request], poll_started: Optional[float] = None) -> None:
         obs = self.obs
@@ -568,34 +598,12 @@ class Scheduler:
         gated = gate is not None and level_idx == gate.cheap_index
         xs = np.stack([request.x for request in group])
         started = time.monotonic()
-        try:
-            with profiler.timer("execute"):
-                logits = state.deployment.forward(
-                    xs, level=level_idx, profiler=profiler if sampled else None
-                )
-                predictions = logits.argmax(axis=-1)
-                margins = softmax_margins(logits) if gated else None
-        except Exception as error:  # pragma: no cover - defensive: fail the batch, keep serving
-            logger.exception(
-                "batch of %d failed at %s level %s", len(group), state.name, level.name
+        with profiler.timer("execute"):
+            logits = state.deployment.forward(
+                xs, level=level_idx, profiler=profiler if sampled else None
             )
-            per_priority: Dict[str, int] = {}
-            for request in group:
-                request.fail(error)
-                per_priority[request.priority] = per_priority.get(request.priority, 0) + 1
-            for priority, count in per_priority.items():
-                self.metrics.record_failure(count, priority=priority)
-            if obs.events.enabled:
-                obs.events.emit(
-                    "batch-failure",
-                    f"batch of {len(group)} failed at level {level.name}: {error}",
-                    level="error",
-                    batch_size=len(group),
-                    model=state.name,
-                    level_name=level.name,
-                    error=str(error),
-                )
-            return
+            predictions = logits.argmax(axis=-1)
+            margins = softmax_margins(logits) if gated else None
         finished = time.monotonic()
         service_ms = (finished - started) * 1e3
         for request in group:

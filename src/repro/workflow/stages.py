@@ -142,6 +142,9 @@ class DSEStage(Stage):
     """Stage 5: design-space exploration with the configured search strategy."""
 
     name = "dse"
+    # 2: strategies score through one DesignEvaluator, and the latency-aware
+    # result class is gone, so a stored version-1 result must not be loaded.
+    version = "2"
     requires = ("qmodel", "significance", "unpacked", "eval_images", "eval_labels")
     provides = ("dse",)
 

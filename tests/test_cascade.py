@@ -19,6 +19,7 @@ from repro.serving import (
     LatencySLOPolicy,
     MetricsSnapshot,
     Request,
+    RequestError,
     RequestQueue,
     Scheduler,
 )
@@ -277,6 +278,32 @@ class TestEscalation:
         assert snapshot.cascade["attempts_per_level"][exact] == 6
         # Escalating everything costs cheap + exact cycles: a net loss.
         assert snapshot.cascade["cycles_saved"] < 0
+
+    def test_a_failing_pass_keeps_the_escalations_it_requeued(self, deployment, small_split):
+        # Everything escalates; the second escalation's bookkeeping raises
+        # after the first request went back in the queue.
+        scheduler = self._scheduler(deployment, threshold=2.0)
+        record = scheduler.metrics.record_cascade_escalation
+        calls = []
+
+        def second_call_raises(priority):
+            calls.append(priority)
+            if len(calls) == 2:
+                raise RuntimeError("metrics bug")
+            record(priority)
+
+        scheduler.metrics.record_cascade_escalation = second_call_raises
+        first, second = (Request(x) for x in small_split.test.images[:2])
+        for request in (first, second):
+            scheduler.queue.put(request)  # both ride the first popped batch
+        with scheduler:
+            with pytest.raises(RequestError, match="metrics bug"):
+                second.result(timeout=30.0)
+            prediction = first.result(timeout=30.0)
+        assert first.escalated and first.attempts == 2
+        assert first.level_name == deployment.levels[0].name
+        assert prediction == int(deployment.predict(small_split.test.images[:1], level=0)[0])
+        assert scheduler.metrics.snapshot().requests_failed == 1
 
     def test_both_attempts_share_one_trace_with_an_escalate_span(
         self, deployment, small_split

@@ -13,6 +13,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.obs import Observability
 from repro.registry import POLICIES
 from repro.serving import (
     Client,
@@ -29,6 +30,8 @@ from repro.serving import (
     Scheduler,
     SchedulerStopped,
     ServerMetrics,
+    TenantConfig,
+    TenantTable,
     priority_rank,
     resolve_policy,
 )
@@ -556,6 +559,43 @@ class TestScheduler:
         scheduler.stop()
         with pytest.raises(SchedulerStopped):
             scheduler.submit(_sample_images(small_split, 1)[0])
+
+    def test_a_raising_batch_fails_only_that_batch(self, deployment, small_split):
+        """A per-batch exception fails the popped request; the loop keeps serving."""
+
+        class RaisesOnce(FixedPolicy):
+            raised = False
+
+            def select(self, levels, snapshot):
+                if not self.raised:
+                    self.raised = True
+                    raise RuntimeError("policy bug")
+                return super().select(levels, snapshot)
+
+        x = _sample_images(small_split, 1)[0]
+        with Scheduler(
+            deployment,
+            policy=RaisesOnce(),
+            tenants=TenantTable([TenantConfig(name="acme", max_inflight=1)]),
+            max_wait_ms=1,
+            obs=Observability(),
+        ) as scheduler:
+            started = time.monotonic()
+            with pytest.raises(RequestError, match="policy bug"):
+                scheduler.submit(x, tenant="acme").result(timeout=1.0)
+            assert time.monotonic() - started < 1.0
+            # The failed request's tenant slot comes back through its
+            # done-callback, a hair after result() unblocks.
+            deadline = time.monotonic() + 1.0
+            while scheduler.tenants.inflight("acme") and time.monotonic() < deadline:
+                time.sleep(0.001)
+            second = scheduler.submit(x, tenant="acme").result(timeout=10.0)
+            assert scheduler.running
+            snapshot = scheduler.metrics.snapshot()
+            (event,) = scheduler.obs.events.snapshot(kind="batch-failure")
+        assert second == deployment.qmodel.predict_classes(x[None])[0]
+        assert snapshot.requests_failed == 1 and snapshot.requests_completed == 1
+        assert event["failed"] == 1 and "policy bug" in event["error"]
 
     def test_idle_scheduler_does_not_spin_or_crash(self, deployment):
         with Scheduler(deployment, max_wait_ms=1) as scheduler:
