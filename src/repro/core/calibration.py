@@ -6,13 +6,14 @@ This module runs a small calibration subset through the quantized model and
 records, for every convolution layer, the mean (and standard deviation) of
 each of the ``K = kh*kw*Cin`` receptive-field inputs, averaged over samples
 and spatial positions.  Values are accumulated in the *real* domain
-(dequantized), matching the paper's formulation on real activations.
+(dequantized), matching the paper's formulation on real activations.  A conv
+operand's sums come from the padded input's strided window at its kernel offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -91,32 +92,19 @@ class ActivationCalibrator:
         if images.shape[0] == 0:
             raise ValueError("calibration set is empty")
 
-        target_names = {layer.name for layer in self._target_layers()}
-        sums: Dict[str, np.ndarray] = {}
-        sq_sums: Dict[str, np.ndarray] = {}
-        counts: Dict[str, int] = {}
-
+        observed: Dict[str, list] = {layer.name: [] for layer in self._target_layers()}
         for start in range(0, images.shape[0], self.batch_size):
-            batch = images[start : start + self.batch_size]
-            x_q = self.qmodel.quantize_input(batch)
+            x_q = self.qmodel.quantize_input(images[start : start + self.batch_size])
             for layer in self.qmodel.layers:
-                if layer.name in target_names:
-                    cols = self._operand_matrix(layer, x_q)
-                    if layer.name not in sums:
-                        sums[layer.name] = cols.sum(axis=0)
-                        sq_sums[layer.name] = (cols**2).sum(axis=0)
-                        counts[layer.name] = cols.shape[0]
-                    else:
-                        sums[layer.name] += cols.sum(axis=0)
-                        sq_sums[layer.name] += (cols**2).sum(axis=0)
-                        counts[layer.name] += cols.shape[0]
+                if layer.name in observed:
+                    observed[layer.name].append(self._operand_sums(layer, x_q))
                 x_q = layer.forward(x_q)
 
         result = CalibrationResult(n_images=int(images.shape[0]))
-        for name, total in sums.items():
-            n = counts[name]
+        for name, batches in observed.items():
+            total, sq_total, n = (sum(column) for column in zip(*batches))
             mean = total / n
-            var = np.maximum(sq_sums[name] / n - mean**2, 0.0)
+            var = np.maximum(sq_total / n - mean**2, 0.0)
             result.layers[name] = LayerCalibration(
                 mean_inputs=mean.astype(np.float64),
                 std_inputs=np.sqrt(var).astype(np.float64),
@@ -124,19 +112,28 @@ class ActivationCalibrator:
             )
         return result
 
-    def _operand_matrix(self, layer, x_q: np.ndarray) -> np.ndarray:
-        """Real-valued operand observations: rows = (sample, position), cols = operand index."""
-        x_real = dequantize(x_q, layer.input_params)
-        if isinstance(layer, QConv2D):
-            cols = F.im2col(
-                x_real.astype(np.float64),
-                layer.kernel_size,
-                layer.stride,
-                layer.padding,
-                pad_value=0.0,
-            )
-            k = layer.operands_per_channel
-            return cols.reshape(-1, k)
+    def _operand_sums(self, layer, x_q: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Per-operand sums of the real input and of its square, and the observation count.
+
+        Every dequantized value is a float32 multiple of the ulp of
+        ``f32(scale)``, so the first sums are exact in float64, in any order,
+        while images x output positions stay below 2**21: the means equal an
+        im2col's bit for bit.  Sums of squares are not exact in any order.
+        """
+        x_real = dequantize(x_q, layer.input_params).astype(np.float64)
         if isinstance(layer, QDense):
-            return x_real.reshape(x_real.shape[0], -1).astype(np.float64)
-        raise TypeError(f"unsupported layer type {type(layer).__name__}")
+            x_real = x_real.reshape(x_real.shape[0], -1)
+            return x_real.sum(axis=0), (x_real**2).sum(axis=0), x_real.shape[0]
+        if not isinstance(layer, QConv2D):
+            raise TypeError(f"unsupported layer type {type(layer).__name__}")
+        n, in_h, in_w, _ = x_real.shape
+        (kh, kw), (sh, sw) = layer.kernel_size, layer.stride
+        out_h, out_w = F.conv_output_shape(in_h, in_w, layer.kernel_size, layer.stride, layer.padding)
+        h_span, w_span = sh * (out_h - 1) + 1, sw * (out_w - 1) + 1
+        xp = F.pad_nhwc(x_real, layer.padding)
+        total, sq_total = (
+            np.concatenate([batch_sum[dy : dy + h_span : sh, dx : dx + w_span : sw].sum(axis=(0, 1))
+                            for dy, dx in np.ndindex(kh, kw)])
+            for batch_sum in (xp.sum(axis=0), (xp**2).sum(axis=0))
+        )
+        return total, sq_total, n * out_h * out_w

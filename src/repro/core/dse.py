@@ -9,9 +9,12 @@ configuration and recording the normalised MAC reduction.
 :mod:`repro.core.strategies` chooses which configurations to score, and one
 :class:`DesignEvaluator` scores them all: it is the only code that turns a
 configuration into a :class:`DesignPoint`.  The paper ran the exploration on
-6 CPU threads; here the designs are evaluated one after another in a plain
-loop, and the cores belong to the BLAS threads inside each forward pass
-(:mod:`repro.utils.parallel` records why).
+6 CPU threads.  Here the evaluator scores all the designs of one call in a
+single walk over the tree of their per-layer masks: designs that agree on
+their first layers share those layers' activations, and sibling masks over
+one shared input run as one stacked GEMM
+(:func:`~repro.kernels.gemm.stack_plans`).  The cores belong to the BLAS
+threads inside each product (:mod:`repro.utils.parallel` records why).
 """
 
 from __future__ import annotations
@@ -29,11 +32,20 @@ from repro.core.unpacking import UnpackedLayer
 from repro.isa.cost_model import ExecutionStyle, KernelCostModel
 from repro.isa.profiles import BoardProfile
 from repro.kernels.cycle_counters import CycleCounter
+from repro.kernels.gemm import GemmPlan, execute_gemm, stack_plans
 from repro.quant.qmodel import QuantizedModel
+from repro.quant.schemes import dequantize
 from repro.registry import SEARCH_STRATEGIES
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.dse")
+
+#: Evaluation images per walk chunk.  Peak memory grows with chunk x stack: AlexNet's 512-image
+#: per-layer sweep peaked at 108 MB at 128 x 4 (the per-design loop: 137 MB), 135 MB at 256 x 4.
+CHUNK_IMAGES = 128
+#: Sibling plans run as one GEMM, sharing its im2col and block dispatch.  LeNet's 256-image
+#: per-layer sweep took 1.37 s with 1 and 0.89 s with 4 (2-core host); 8 raised AlexNet's peak to 126 MB.
+STACK_PLANS = 4
 
 
 @dataclass
@@ -221,14 +233,22 @@ def design_point(
     )
 
 
+def _mask_key(mask: Optional[np.ndarray]) -> bytes:
+    """``b""`` for an unmasked layer (no mask or an all-True one run the same plan), else its bits."""
+    if mask is None:
+        return b""
+    mask = np.asarray(mask, dtype=bool)
+    return b"" if mask.all() else np.packbits(mask).tobytes() + repr(mask.shape).encode()
+
+
 class DesignEvaluator:
     """Scores configurations: the only code that turns one into a :class:`DesignPoint`.
 
-    Construction checks that the evaluation images and labels align, caps
-    them at ``dse_config.max_eval_samples`` and simulates the exact design's
-    accuracy once (:attr:`baseline_accuracy`).  Every search strategy hands
-    its configurations to :meth:`evaluate`, so all of them score designs on
-    the same images, from masks built the same way.
+    Construction checks that the evaluation images and labels align and caps
+    them at ``dse_config.max_eval_samples``.  Every search strategy hands its
+    configurations to :meth:`evaluate`, so all of them score designs on the
+    same images, from masks built the same way.  The exact design's accuracy,
+    :attr:`baseline_accuracy`, is recorded by the first walk that scores it.
     """
 
     def __init__(
@@ -250,7 +270,14 @@ class DesignEvaluator:
         self.unpacked = unpacked
         self.eval_images = eval_images[:cap]
         self.eval_labels = eval_labels[:cap]
-        self.baseline_accuracy = qmodel.evaluate_accuracy(self.eval_images, self.eval_labels)
+        self._baseline: Optional[float] = None
+
+    @property
+    def baseline_accuracy(self) -> float:
+        """The exact design's accuracy; walks the exact design alone if no walk has scored it yet."""
+        if self._baseline is None:
+            self._accuracies([{}])
+        return self._baseline
 
     def evaluate(
         self, configs: Sequence[ApproxConfig], board: Optional[BoardProfile] = None
@@ -258,19 +285,15 @@ class DesignEvaluator:
         """One :class:`DesignPoint` per configuration, in order.
 
         Each configuration's masks are built once.  They give its simulated
-        accuracy, its MAC counts and, when a ``board`` is given, the latency
-        estimate of its unpacked code on that board.
+        accuracy (one walk scores every configuration), its MAC counts and,
+        when a ``board`` is given, the latency estimate of its unpacked code
+        on that board.
         """
         logger.info("evaluating %d designs of %s on %d samples",
                     len(configs), self.qmodel.name, self.eval_images.shape[0])
+        all_masks = [config.build_masks(self.significance, unpacked=self.unpacked) for config in configs]
         points: List[DesignPoint] = []
-        for config in configs:
-            masks = config.build_masks(self.significance, unpacked=self.unpacked)
-            accuracy = (
-                self.baseline_accuracy
-                if config.is_exact
-                else self.qmodel.evaluate_accuracy(self.eval_images, self.eval_labels, masks=masks)
-            )
+        for config, masks, accuracy in zip(configs, all_masks, self._accuracies(all_masks)):
             point = design_point(self.qmodel, config, masks, accuracy)
             if board is not None:
                 counter = CycleCounter()
@@ -279,6 +302,68 @@ class DesignEvaluator:
                 point.latency_ms = KernelCostModel(ExecutionStyle.UNPACKED).latency_ms(counter, board)
             points.append(point)
         return points
+
+    def _accuracies(self, designs: Sequence[Dict[str, np.ndarray]]) -> List[float]:
+        """Top-1 accuracy of each mask set, from one walk over the tree of their per-layer masks.
+
+        A design is its tuple of per-layer keys (:func:`_mask_key`), so
+        identical designs are scored once, and each distinct (layer, key)
+        plan is prepared once.  The walk runs over chunks of at most
+        :data:`CHUNK_IMAGES` images and counts correct predictions, so each
+        accuracy is an exact count divided once by the number of images.
+        """
+        if not designs:
+            return []
+        layers = self.qmodel.layers
+        keys = [tuple(_mask_key(masks.get(layer.name)) for layer in layers) for masks in designs]
+        unique = dict(zip(keys, designs))
+        plans: Dict[Tuple[int, bytes], GemmPlan] = {}
+        for design, masks in unique.items():
+            for depth, (layer, key) in enumerate(zip(layers, design)):
+                if layer.is_mac_layer and (depth, key) not in plans:
+                    plans[depth, key] = layer.prepare(masks.get(layer.name) if key else None)
+        correct = dict.fromkeys(unique, 0)
+        n = self.eval_images.shape[0]
+        for start in range(0, n, CHUNK_IMAGES):
+            x = self.qmodel.quantize_input(self.eval_images[start : start + CHUNK_IMAGES])
+            self._walk(0, x, list(unique), self.eval_labels[start : start + CHUNK_IMAGES], plans, correct)
+        accuracy = {design: hits / n if n else 0.0 for design, hits in correct.items()}
+        exact = (b"",) * len(layers)
+        if self._baseline is None and exact in accuracy:
+            self._baseline = accuracy[exact]
+        return [accuracy[design] for design in keys]
+
+    def _walk(self, depth: int, x: np.ndarray, group: List[tuple], labels: np.ndarray,
+              plans: Dict[Tuple[int, bytes], GemmPlan], correct: Dict[tuple, int]) -> None:
+        """Run ``layers[depth:]`` on ``x``, the activation ``group``'s designs share, and count their hits.
+
+        A non-MAC layer runs once for the group.  At a MAC layer the group
+        splits by key, and up to :data:`STACK_PLANS` sibling plans run as one
+        GEMM; each child continues on its own channel slice.
+        """
+        layers = self.qmodel.layers
+        while depth < len(layers) and not layers[depth].is_mac_layer:
+            x = layers[depth].forward(x)
+            depth += 1
+        if depth == len(layers):
+            predictions = dequantize(x, layers[-1].output_params).argmax(axis=-1)
+            hits = int(np.count_nonzero(predictions == labels))
+            for design in group:
+                correct[design] += hits
+            return
+        children: Dict[bytes, list] = {}
+        for design in group:
+            children.setdefault(design[depth], []).append(design)
+        siblings = list(children.items())
+        for start in range(0, len(siblings), STACK_PLANS):
+            stack = siblings[start : start + STACK_PLANS]
+            stacked = [plans[depth, key] for key, _ in stack]
+            y = execute_gemm(stack_plans(stacked), x)
+            offset = 0
+            for (_, members), plan in zip(stack, stacked):
+                width = plan.weights.shape[1]
+                self._walk(depth + 1, y[..., offset : offset + width], members, labels, plans, correct)
+                offset += width
 
 
 def run_dse(

@@ -9,12 +9,13 @@ convolution over cache-sized blocks of whole images (im2col, one BLAS
 product, the epilogue straight into the block's int8 output) and a dense
 layer as one product.  Values stay exact integers until the float64
 multiply, so results are bit-identical to the int64 reference dataflow.
+:func:`stack_plans` lets plans that read one input share one product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +99,26 @@ def prepare_gemm(
         padding=padding,
         input_zero_point=int(input_zero_point),
     )
+
+
+def stack_plans(plans: Sequence[GemmPlan]) -> GemmPlan:
+    """One plan whose output channels are ``plans``' channels, side by side, in order.
+
+    The plans must share K, geometry, zero points and clamp.  Every channel's
+    partial sums are exact integers in ``exact_matmul_dtype(K)``, so each
+    channel slice of the stacked output equals that plan's own output.
+    """
+    def shared(plan: GemmPlan) -> tuple:
+        return (plan.weights.shape[0], plan.kernel_size, plan.stride, plan.padding,
+                plan.input_zero_point, plan.output_zero_point, plan.activation_min, plan.activation_max)
+
+    if any(shared(plan) != shared(plans[0]) for plan in plans):
+        raise ValueError("stacked plans must share K, geometry, zero points and clamp")
+    if len(plans) == 1:
+        return plans[0]
+    return replace(plans[0], weights=np.concatenate([plan.weights for plan in plans], axis=1),
+                   init=np.concatenate([plan.init for plan in plans]),
+                   multipliers=np.concatenate([plan.multipliers for plan in plans]))
 
 
 def _gemm_into(plan: GemmPlan, operands: np.ndarray, out: np.ndarray) -> None:

@@ -16,8 +16,8 @@ same batch sharded over 2 worker processes             87 ms          20.5 ms
 =====================================================  =============  ==============
 
 Nothing in the library pins BLAS, so both pools lost wherever they ran at
-default settings, and they were deleted.  The DSE evaluates its designs in a
-plain loop, the serving scheduler runs each batch in its own process, and the
+default settings, and they were deleted.  The DSE scores its designs in one
+serial walk, the serving scheduler runs each batch in its own process, and the
 fleet (``serve --replicas N``) is the only path that runs more than one
 process.  A pool can come back only as new code that pins BLAS to one thread
 per worker and beats the serial path on the benchmark.

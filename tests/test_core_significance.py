@@ -16,8 +16,38 @@ from repro.core import (
 from repro.core.unpacking import total_unpacked_code_bytes
 from repro.kernels import pack_weight_pair
 from repro.nn import functional as F
-from repro.quant.qlayers import QDense
-from repro.quant.schemes import dequantize
+from repro.quant.qlayers import QConv2D, QDense, QFlatten
+from repro.quant.qmodel import QuantizedModel
+from repro.quant.schemes import QuantizationParams, dequantize, symmetric_params_from_absmax
+
+
+def _im2col_means(qmodel, images):
+    """Each conv's (and dense layer's) mean input operand from a float64 im2col of its whole input."""
+    means = {}
+    x_q = qmodel.quantize_input(images)
+    for layer in qmodel.layers:
+        if layer.is_mac_layer:
+            x_real = dequantize(x_q, layer.input_params).astype(np.float64)
+            if isinstance(layer, QDense):
+                cols = x_real.reshape(x_real.shape[0], -1)
+            else:
+                cols = F.im2col(x_real, layer.kernel_size, layer.stride, layer.padding, pad_value=0.0)
+            means[layer.name] = cols.reshape(-1, cols.shape[-1]).mean(axis=0)
+        x_q = layer.forward(x_q)
+    return means
+
+
+def _stride_two_model(rng):
+    """A hand-built int8 model: a 3x3 stride-2 padded conv, then flatten and a dense layer."""
+    images = QuantizationParams(np.array([1 / 255]), np.array([-128]))
+    hidden = QuantizationParams(np.array([0.03]), np.array([-128]))
+    conv = QConv2D("conv_s2", rng.integers(-127, 128, size=(4, 3, 3, 3), dtype=np.int8), None, images,
+                   symmetric_params_from_absmax(np.full(4, 0.5)), hidden, stride=(2, 2), padding=(1, 1),
+                   fused_relu=True)
+    logits = QuantizationParams(np.array([0.1]), np.array([0]))
+    dense = QDense("fc", rng.integers(-127, 128, size=(100, 10), dtype=np.int8), None, hidden,
+                   symmetric_params_from_absmax(np.full(10, 0.5)), logits)
+    return QuantizedModel([conv, QFlatten("flatten", hidden), dense], images, (9, 9, 3), 10, name="stride2")
 
 
 class TestUnpacking:
@@ -100,16 +130,22 @@ class TestCalibration:
             assert stats.samples > 0
 
     def test_first_layer_means_match_direct_computation(self, tiny_qmodel, small_split):
-        """E[a_i] of the first conv equals the mean of the (dequantized) input patches."""
+        """E[a_i] of the first conv, and of every later one, is its input patches' mean, bit for bit."""
         calib_images = small_split.calibration.images[:32]
-        calibrator = ActivationCalibrator(tiny_qmodel, batch_size=8)
-        result = calibrator.calibrate(calib_images)
-        conv1 = tiny_qmodel.conv_layers()[0]
-        x_q = tiny_qmodel.quantize_input(calib_images)
-        x_real = dequantize(x_q, conv1.input_params).astype(np.float64)
-        cols = F.im2col(x_real, conv1.kernel_size, conv1.stride, conv1.padding, pad_value=0.0)
-        expected = cols.reshape(-1, conv1.operands_per_channel).mean(axis=0)
-        np.testing.assert_allclose(result.mean_inputs(conv1.name), expected, rtol=1e-6, atol=1e-9)
+        result = ActivationCalibrator(tiny_qmodel, batch_size=8).calibrate(calib_images)
+        expected = _im2col_means(tiny_qmodel, calib_images)
+        for conv in tiny_qmodel.conv_layers():
+            np.testing.assert_array_equal(result.mean_inputs(conv.name), expected[conv.name])
+
+    def test_stride_two_conv_and_dense_means_match_direct_computation(self, rng):
+        qmodel = _stride_two_model(rng)
+        images = rng.random((40, 9, 9, 3), dtype=np.float32)
+        result = ActivationCalibrator(qmodel, include_dense=True, batch_size=16).calibrate(images)
+        expected = _im2col_means(qmodel, images)
+        assert list(expected) == result.layer_names() == ["conv_s2", "fc"]
+        for name, means in expected.items():
+            np.testing.assert_array_equal(result.mean_inputs(name), means)
+        assert result.layers["conv_s2"].samples == 40 * 5 * 5
 
     def test_first_layer_means_nonnegative(self, tiny_calibration, tiny_qmodel):
         """Inputs are normalised to [0,1]; ReLU outputs are >= 0 after dequantization."""

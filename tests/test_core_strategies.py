@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from repro.core import ApproxConfig, DesignEvaluator, DSEConfig, run_dse
+from repro.core.dse import CHUNK_IMAGES
 from repro.isa import STM32U575
+from repro.kernels import gemm
 
 TAUS = [0.0, 0.01, 0.05, 0.1]
 
@@ -209,3 +212,79 @@ class TestDesignEvaluator:
             board=STM32U575,
         )
         assert sorted(builds) == sorted(p.config.label for p in result.points)
+
+    @pytest.mark.parametrize(
+        "dse_config",
+        [
+            DSEConfig(tau_values=TAUS, layer_subsets="per_layer"),
+            DSEConfig(tau_values=TAUS, layer_subsets="exhaustive"),
+            DSEConfig(tau_values=TAUS, layer_subsets="per_layer", granularity="input_channel"),
+            DSEConfig(tau_values=TAUS, strategy="greedy",
+                      strategy_options={"max_accuracy_loss": 0.1, "max_steps": 4}),
+            DSEConfig(tau_values=TAUS, layer_subsets="per_layer", strategy="latency-aware"),
+        ],
+        ids=["per-layer", "every-subset", "input-channel", "greedy", "latency-aware"],
+    )
+    def test_the_walk_equals_a_per_design_loop(
+        self, tiny_qmodel, tiny_significance, tiny_unpacked, small_split, dse_config
+    ):
+        images, labels = small_split.train.images[:300], small_split.train.labels[:300]
+        assert images.shape[0] % CHUNK_IMAGES, "the last chunk should be short"
+        result = run_dse(tiny_qmodel, tiny_significance, images, labels, dse_config=dse_config,
+                         unpacked=tiny_unpacked, board=STM32U575)
+        assert result.baseline_accuracy == tiny_qmodel.evaluate_accuracy(images, labels)
+        assert len({p.accuracy for p in result.points}) > 1
+        for point in result.points:
+            masks = point.config.build_masks(tiny_significance, unpacked=tiny_unpacked)
+            expected = tiny_qmodel.evaluate_accuracy(images, labels, masks=masks)
+            assert point.accuracy == expected, point.config.label
+
+    def test_an_empty_evaluation_set_scores_every_design_zero(
+        self, tiny_qmodel, tiny_significance, small_split
+    ):
+        result = run_dse(
+            tiny_qmodel, tiny_significance, small_split.test.images[:0], small_split.test.labels[:0],
+            dse_config=DSEConfig(tau_values=TAUS, layer_subsets="per_layer"),
+        )
+        assert len(result.points) > 1 and result.baseline_accuracy == 0.0
+        assert all(p.accuracy == 0.0 for p in result.points)
+
+    def test_prepares_each_distinct_plan_once_and_runs_identical_designs_once(
+        self, tiny_qmodel, tiny_significance, small_split, monkeypatch
+    ):
+        images, labels = small_split.test.images[:40], small_split.test.labels[:40]
+        evaluator = DesignEvaluator(tiny_qmodel, tiny_significance, images, labels)
+        names = tiny_significance.layer_names()
+        approx = ApproxConfig.uniform(tiny_qmodel.name, names, 0.05)
+        masks = approx.build_masks(tiny_significance)
+        assert len(names) > 1 and not any(m.all() for m in masks.values())
+        first_only = ApproxConfig.uniform(tiny_qmodel.name, names[:1], 0.05)  # shares approx's first mask
+        prepared, outputs = [], []
+        for name in ("conv_s8", "fully_connected_s8"):  # the package re-exports a function of the second name
+            module = importlib.import_module(f"repro.kernels.{name}")
+            prepare = module.prepare_gemm  # what the counted forward and QLayer.prepare both reach
+            monkeypatch.setattr(module, "prepare_gemm",
+                                lambda *a, _prepare=prepare, **k: prepared.append(1) or _prepare(*a, **k))
+        run_block = gemm._gemm_into
+        monkeypatch.setattr(gemm, "_gemm_into",
+                            lambda plan, rows, out: outputs.append(out.size) or run_block(plan, rows, out))
+
+        evaluator.evaluate([ApproxConfig.exact(tiny_qmodel.name), approx, first_only])
+        assert len(prepared) == len(tiny_qmodel.mac_layers()) + len(masks)
+        once = (len(prepared), sum(outputs))
+        prepared.clear()
+        outputs.clear()
+        points = evaluator.evaluate([ApproxConfig.exact(tiny_qmodel.name), approx, approx, first_only])
+        assert (len(prepared), sum(outputs)) == once
+        assert points[1].accuracy == points[2].accuracy
+
+    def test_baseline_comes_from_the_exact_design_however_it_is_first_read(
+        self, tiny_qmodel, tiny_significance, small_split
+    ):
+        images, labels = small_split.test.images[:64], small_split.test.labels[:64]
+        expected = tiny_qmodel.evaluate_accuracy(images, labels)
+        approx = ApproxConfig.uniform(tiny_qmodel.name, tiny_significance.layer_names(), 0.1)
+        for configs in ([], [approx], [approx, ApproxConfig.exact(tiny_qmodel.name)]):
+            evaluator = DesignEvaluator(tiny_qmodel, tiny_significance, images, labels)
+            evaluator.evaluate(configs)
+            assert evaluator.baseline_accuracy == expected

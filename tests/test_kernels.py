@@ -23,8 +23,9 @@ from repro.kernels import (
     unpack_weight_pair,
 )
 from repro.kernels.accumulate import exact_matmul_dtype, integer_matmul
+from repro.kernels.conv_s8 import prepare_conv_s8
 from repro.kernels.fully_connected_s8 import prepare_fully_connected_s8
-from repro.kernels.gemm import BLOCK_POSITIONS
+from repro.kernels.gemm import BLOCK_POSITIONS, execute_gemm, stack_plans
 from repro.kernels.smlad import smlad_dot
 
 
@@ -278,6 +279,49 @@ class TestFullyConnectedS8:
             fully_connected_s8(x[:, :4], weights, None, 0, 0, np.ones(3))
         with pytest.raises(ValueError):
             fully_connected_s8(x[0], weights, None, 0, 0, np.ones(3))
+
+
+class TestStackPlans:
+    def _conv_plan(self, weights, mask=None, stride=(1, 1), padding=(1, 1), output_zero_point=4):
+        cout = weights.shape[0]
+        bias = np.arange(cout, dtype=np.int64) * 37 - 60
+        return prepare_conv_s8(weights, bias, -3, output_zero_point, np.linspace(1e-3, 4e-3, cout),
+                               stride, padding, weight_mask=mask)
+
+    @pytest.mark.parametrize("stride,padding", [((1, 1), (1, 1)), ((2, 2), (1, 1)), ((2, 1), (0, 2))])
+    def test_conv_channel_slices_equal_each_plans_own_output(self, rng, stride, padding):
+        """Three masks over enough 9x9 images for several blocks: each slice is bit-identical."""
+        x = rng.integers(-128, 128, size=(40, 9, 9, 3), dtype=np.int8)
+        weights = rng.integers(-127, 128, size=(4, 3, 3, 3), dtype=np.int8)
+        masks = [None, rng.random((4, 27)) > 0.3, rng.random((4, 27)) > 0.8]
+        plans = [self._conv_plan(weights, mask, stride, padding) for mask in masks]
+        stacked = execute_gemm(stack_plans(plans), x)
+        assert stacked.shape[-1] == 12
+        for i, plan in enumerate(plans):
+            np.testing.assert_array_equal(stacked[..., 4 * i : 4 * i + 4], execute_gemm(plan, x))
+
+    @pytest.mark.parametrize("k", [40, 3000])  # float32 and float64 accumulation
+    def test_dense_channel_slices_equal_each_plans_own_output(self, rng, k):
+        x = rng.integers(-128, 128, size=(7, k), dtype=np.int8)
+        weights = rng.integers(-127, 128, size=(k, 5), dtype=np.int8)
+        masks = [rng.random((5, k)) > 0.5, None, rng.random((5, k)) > 0.1]
+        plans = [prepare_fully_connected_s8(weights, None, -5, 2, np.full(5, 2e-4), weight_mask=mask)
+                 for mask in masks]
+        stacked = execute_gemm(stack_plans(plans), x)
+        for i, plan in enumerate(plans):
+            np.testing.assert_array_equal(stacked[:, 5 * i : 5 * i + 5], execute_gemm(plan, x))
+
+    def test_rejects_plans_that_differ_in_k_geometry_or_zero_point(self, rng):
+        weights = rng.integers(-127, 128, size=(4, 3, 3, 3), dtype=np.int8)
+        plan = self._conv_plan(weights)
+        dense = prepare_fully_connected_s8(rng.integers(-127, 128, size=(27, 4), dtype=np.int8), None,
+                                           -3, 4, np.full(4, 1e-3))
+        for other in (self._conv_plan(weights[..., :2]), self._conv_plan(weights, stride=(2, 2)),
+                      self._conv_plan(weights, padding=(0, 0)), self._conv_plan(weights, output_zero_point=0),
+                      dense):
+            with pytest.raises(ValueError):
+                stack_plans([plan, other])
+        assert stack_plans([plan]) is plan
 
 
 class TestPoolingS8:
