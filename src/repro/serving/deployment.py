@@ -31,6 +31,7 @@ from repro.kernels.cycle_counters import CycleCounter
 from repro.kernels.gemm import GemmPlan, execute_gemm
 from repro.quant.qmodel import QuantizedModel
 from repro.quant.schemes import dequantize
+from repro.utils import parallel
 
 
 @dataclass
@@ -86,6 +87,8 @@ class Deployment:
                 if mask is None and layer.name not in exact:
                     exact[layer.name] = layer.prepare()
                 level.plans[layer.name] = exact[layer.name] if mask is None else layer.prepare(mask)
+        # The executor runs dense GEMMs whatever a mask keeps: a shard's cost.
+        self._dense_macs = self.qmodel.total_macs()
 
     # ------------------------------------------------------------------ views
     @property
@@ -109,18 +112,25 @@ class Deployment:
         """Dequantized logits of a float NHWC batch under one service level.
 
         One loop over the model's layers: MAC layers execute the level's
-        prepared plans, the others their library kernels.  An active
-        ``profiler`` (a sampled :class:`~repro.obs.profiling.Profiler`)
-        times each layer as a ``layer:NAME`` section.
+        prepared plans, the others their library kernels.  A batch with
+        enough work runs it as concurrent shards of whole images on the cores
+        BLAS leaves idle (:func:`repro.utils.parallel.map_shards`), with the
+        same logits.  An active ``profiler`` (a sampled
+        :class:`~repro.obs.profiling.Profiler`) times each layer of the lead
+        shard as a ``layer:NAME`` section.
         """
         plans = self.levels[level].plans
         timed = profiler is not None and getattr(profiler, "active", False)
-        q = self.qmodel.quantize_input(x)
-        for layer in self.qmodel.layers:
-            plan = plans.get(layer.name)
-            with profiler.timer(f"layer:{layer.name}") if timed else nullcontext():
-                q = layer.forward(q) if plan is None else execute_gemm(plan, q)
-        return dequantize(q, self.qmodel.layers[-1].output_params)
+
+        def run(shard: np.ndarray, lead: bool) -> np.ndarray:
+            q = self.qmodel.quantize_input(shard)
+            for layer in self.qmodel.layers:
+                plan = plans.get(layer.name)
+                with profiler.timer(f"layer:{layer.name}") if timed and lead else nullcontext():
+                    q = layer.forward(q) if plan is None else execute_gemm(plan, q)
+            return dequantize(q, self.qmodel.layers[-1].output_params)
+
+        return parallel.map_shards(run, x, self._dense_macs)
 
     def predict(self, x: np.ndarray, level: int = 0, profiler=None) -> np.ndarray:
         """Predicted class indices of a float NHWC batch under one level."""

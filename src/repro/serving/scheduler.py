@@ -17,9 +17,9 @@ table gets its own policy instance (policies are stateful -- EWMA trackers,
 cooldowns, current-level markers) and its own cascade gate, so one model's
 overload cannot push another model off its operating point.
 
-The forward pass runs in the scheduler's own process: BLAS threads own the
-cores here, and more processes come only from the fleet
-(:mod:`repro.serving.fleet`), one scheduler per replica.
+The forward runs in the scheduler's process, on BLAS threads and, where BLAS
+is pinned, on shard lanes (:mod:`repro.utils.parallel`); more processes come
+only from the fleet (:mod:`repro.serving.fleet`), one scheduler per replica.
 
 Tenancy sits in front of the queue: :meth:`Scheduler.submit` resolves the
 request's tenant against the :class:`~repro.serving.tenancy.TenantTable`

@@ -1,31 +1,101 @@
-"""Who owns the cores: BLAS threads inside a process, the fleet across processes.
+"""Who owns the cores: BLAS threads, the shard lanes beside them, the fleet.
 
-The paper ran its offline design-space exploration on 6 CPU threads.  Here
-every forward pass is a batched NumPy GEMM, and BLAS already spreads each one
-over all cores.  A process pool on top of that (over DSE designs, or over the
-shards of one serving batch) only pays when every worker is pinned to one
-BLAS thread.  Measured on a 2-core host (medians of interleaved runs):
+Every forward pass is a batched NumPy GEMM that BLAS spreads over all cores
+at default settings.  Process pools on top (over DSE designs or a batch's
+shards) paid only with each worker pinned to one BLAS thread and were
+deleted; the fleet (``serve --replicas N``) is the only multi-process path.
+2-core host, medians of interleaved runs:
 
-=====================================================  =============  ==============
-workload                                               default BLAS   1 BLAS thread
-=====================================================  =============  ==============
-LeNet DSE sweep (18 designs x 256 images), serial      2121 ms        2317 ms
-same sweep over 2 worker processes                     15280 ms       1299 ms
-AlexNet batch of 32 at tau 0.05, in-process            24-26 ms       24-27 ms
-same batch sharded over 2 worker processes             87 ms          20.5 ms
-=====================================================  =============  ==============
+=================================================  ============  =============
+workload                                           default BLAS  1 BLAS thread
+=================================================  ============  =============
+LeNet DSE sweep (18 designs x 256 images), serial  2121 ms       2317 ms
+same sweep over 2 worker processes                 15280 ms      1299 ms
+AlexNet batch of 32 at tau 0.05, in-process        24-26 ms      24-27 ms
+same batch sharded over 2 worker processes         87 ms         20.5 ms
+=================================================  ============  =============
 
-Nothing in the library pins BLAS, so both pools lost wherever they ran at
-default settings, and they were deleted.  The DSE scores its designs in one
-serial walk, the serving scheduler runs each batch in its own process, and the
-fleet (``serve --replicas N``) is the only path that runs more than one
-process.  A pool can come back only as new code that pins BLAS to one thread
-per worker and beats the serial path on the benchmark.
+Where BLAS is pinned (``OPENBLAS_NUM_THREADS=1`` in the serving benchmarks),
+cores // BLAS threads lanes (:func:`process_lanes`) run at once, and
+``Deployment.forward`` fills them with :func:`map_shards`: shards of whole
+images.  Unpinned, one lane: BLAS plus shards oversubscribed (0.85-0.94x).
+Forward ms, 1 BLAS thread, tau 0.05, median of 31, 1 / 2 lanes, same host:
+
+================  ===========  ===========  ===========  ===========
+dense MACs/image  batch 4      batch 8      batch 16     batch 32
+================  ===========  ===========  ===========  ===========
+tiny CNN, 0.47 M  1.39 / 2.65  2.24 / 3.54  4.54 / 5.81  8.28 / 9.93
+LeNet, 4.52 M     3.30 / 3.79  6.38 / 5.96  12.2 / 9.62  22.0 / 16.3
+AlexNet, 15.9 M   7.42 / 7.13  13.0 / 10.0  23.2 / 14.8  45.1 / 28.0
+================  ===========  ===========  ===========  ===========
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import threading
+from typing import Callable
+
+import numpy as np
+
+#: Dense MACs per shard: above, 2 lanes lost up to 16 M, broke even at 18-32 M, won 1.27-1.61x from 36 M.
+MIN_SHARD_MACS = 32_000_000
+
+_pool = None  # this process's ThreadPoolExecutor of lanes - 1 threads; a forked child drops its parent's
+_pool_lock = threading.Lock()
 
 
 def default_workers() -> int:
     """Worker processes an in-process computation uses: always 1 (see the module docstring)."""
     return 1
+
+
+@functools.cache
+def process_lanes() -> int:
+    """``cores // BLAS threads``, or 1 when no thread count is set: BLAS then takes every core."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):  # OpenBLAS's order
+        threads = os.environ.get(variable, "").strip()
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, cores // int(threads))
+    return 1
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shard_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only by a process that shards
+            _pool = ThreadPoolExecutor(process_lanes() - 1, thread_name_prefix="repro-shard")
+        return _pool
+
+
+def map_shards(fn: Callable[[np.ndarray, bool], np.ndarray], x: np.ndarray, macs_per_item: int) -> np.ndarray:
+    """``fn(shard, lead)`` over near-equal contiguous shards of ``x``, concatenated.
+
+    One shard per lane, as many as the process has, ``len(x)`` allows and
+    ``MIN_SHARD_MACS`` fills.  The lead shard runs inline, the rest on the
+    process's pool; the call returns, or raises the first error, once every lane is done.
+    """
+    lanes = min(process_lanes(), len(x), len(x) * macs_per_item // MIN_SHARD_MACS)
+    if lanes <= 1:
+        return fn(x, True)
+    lead, *rest = np.array_split(x, lanes)
+    pool = _shard_pool()
+    futures = [pool.submit(fn, shard, False) for shard in rest]
+    try:
+        outputs = [fn(lead, True)]
+    finally:
+        for future in futures:
+            future.exception()  # waits for the lane, also when the lead raised
+    return np.concatenate(outputs + [future.result() for future in futures])

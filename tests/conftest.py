@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
-import statistics
+import socket
 import time
 
 import numpy as np
@@ -93,17 +93,34 @@ def tiny_pipeline_result(tiny_qmodel, small_split):
     )
 
 
-@pytest.fixture(scope="session")
-def keep_alive_median_ms(small_split):
-    """Time sequential ``POST /predict`` calls that share one connection.
+#: A response this slow on a reused connection waited out a delayed ACK (~40 ms on Linux).
+STALL_MS = 35.0
 
-    Returns ``measure(host, port, n=20) -> median ms``.  ``measure`` asserts
-    that every answer is a 200 with one class and that every request reused
-    the first one's socket (the server kept the connection alive).
+
+@pytest.fixture
+def keep_alive_probe(small_split, monkeypatch):
+    """Send sequential ``POST /predict`` calls over one connection to an HTTP front.
+
+    Returns ``probe(host, port, n=20) -> (nodelay, stalls)``.  ``nodelay``
+    says whether every socket a :class:`repro.serving.server._Handler` in this
+    process accepted meanwhile (and at least one) had ``TCP_NODELAY`` set;
+    ``stalls`` counts the requests that took ``STALL_MS`` or more.  The probe
+    asserts that every answer is a 200 with one class and that every request
+    reused the first one's socket (the server kept the connection alive).
     """
+    from repro.serving.server import _Handler
+
+    accepted = []
+    setup = _Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        accepted.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
     body = json.dumps({"inputs": small_split.test.images[0].tolist()}).encode("utf-8")
 
-    def measure(host: str, port: int, n: int = 20) -> float:
+    def probe(host: str, port: int, n: int = 20):
         connection = http.client.HTTPConnection(host, port, timeout=30)
         elapsed_ms = []
         try:
@@ -121,6 +138,6 @@ def keep_alive_median_ms(small_split):
                 assert connection.sock is sock, "the server closed the keep-alive connection"
         finally:
             connection.close()
-        return statistics.median(elapsed_ms)
+        return bool(accepted) and all(accepted), sum(ms >= STALL_MS for ms in elapsed_ms)
 
-    return measure
+    return probe

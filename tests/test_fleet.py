@@ -101,11 +101,14 @@ class TestRouting:
         names = {span["name"] for span in client.trace("caller-supplied.01")}
         assert {"route", "queue-wait", "execute"} <= names
 
-    def test_keep_alive_through_router_does_not_stall(self, fleet, keep_alive_median_ms):
+    def test_keep_alive_through_router_does_not_stall(self, fleet, keep_alive_probe):
         # Both hops reuse connections (client -> router, router -> replica);
-        # with Nagle on, each waited out a delayed ACK per response.
-        median_ms = keep_alive_median_ms(fleet.router.host, fleet.router.port)
-        assert median_ms < 20.0, f"median {median_ms:.1f} ms per keep-alive request"
+        # with Nagle on, each waited out a delayed ACK per response.  The
+        # router runs in this process, so the probe sees its accepted socket;
+        # a stall on most requests would also catch the replica hop.
+        nodelay, stalls = keep_alive_probe(fleet.router.host, fleet.router.port)
+        assert nodelay, "the router accepted a connection with Nagle's algorithm on"
+        assert stalls <= 10, f"{stalls} of 20 keep-alive requests stalled"
 
     def test_burst_spreads_over_both_replicas(self, fleet, images):
         client = HTTPClient(fleet.url, timeout_s=60.0)

@@ -1,9 +1,12 @@
-"""Tests for repro.utils (rng, serialization, validation, logging, process ownership)."""
+"""Tests for repro.utils (rng, serialization, validation, logging, process ownership, shards)."""
 
 from __future__ import annotations
 
 import ast
 import logging
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.utils import (
     set_verbosity,
     spawn_rngs,
 )
+from repro.utils import parallel
 from repro.utils.rng import deterministic_hash, permutation_batches
 
 
@@ -147,7 +151,8 @@ class TestValidation:
 
 
 class TestProcessOwnership:
-    """BLAS threads own the cores inside a process; only the fleet starts processes."""
+    """Inside a process the cores belong to BLAS threads, plus shard threads where BLAS is
+    pinned (``TestMapShards``); only the fleet starts processes."""
 
     def test_only_the_fleet_imports_process_pools(self):
         package = Path(repro.__file__).parent
@@ -173,6 +178,101 @@ class TestProcessOwnership:
         assert offenders == [], (
             "process pools outside repro/serving/fleet/; see repro.utils.parallel: " + ", ".join(offenders)
         )
+
+
+class TestMapShards:
+    """``map_shards`` runs contiguous shards on the lanes that a pinned BLAS leaves idle."""
+
+    @pytest.fixture
+    def force_lanes(self, monkeypatch):
+        """``force_lanes(n)``: the process has ``n`` lanes and any batch item fills a shard."""
+        monkeypatch.setattr(parallel, "_pool", None)
+        monkeypatch.setattr(parallel, "MIN_SHARD_MACS", 1)
+
+        def force(n: int) -> None:
+            monkeypatch.setattr(parallel, "process_lanes", lambda: n)
+
+        return force
+
+    @pytest.mark.parametrize(
+        "env, cores, lanes",
+        [
+            ({}, 4, 1),  # unpinned: BLAS takes every core
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 5, 2),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
+            ({"OMP_NUM_THREADS": "x"}, 4, 1),
+        ],
+    )
+    def test_lanes_are_cores_over_blas_threads_in_openblas_order(self, monkeypatch, env, cores, lanes):
+        for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(variable, raising=False)
+        for variable, value in env.items():
+            monkeypatch.setenv(variable, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert parallel.process_lanes.__wrapped__() == lanes
+
+    def test_without_affinity_the_cpu_count_is_the_cores(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert parallel.process_lanes.__wrapped__() == 3
+
+    def test_shards_are_contiguous_and_the_lead_runs_inline(self, force_lanes):
+        force_lanes(3)
+        calls = []
+
+        def fn(shard, lead):
+            calls.append((shard[:, 0].tolist(), lead, threading.current_thread()))
+            return shard * 2
+
+        x = np.arange(20).reshape(10, 2)
+        np.testing.assert_array_equal(parallel.map_shards(fn, x, 1), x * 2)
+        calls.sort(key=lambda call: call[0])
+        assert [rows for rows, _, _ in calls] == [[0, 2, 4, 6], [8, 10, 12], [14, 16, 18]]
+        assert [lead for _, lead, _ in calls] == [True, False, False]
+        assert calls[0][2] is threading.current_thread()
+        assert all(thread.name.startswith("repro-shard") for _, _, thread in calls[1:])
+
+    @pytest.mark.parametrize("items, macs_per_item, lanes", [(1, 10**9, 4), (7, 10**9, 1), (4, 2, 4)])
+    def test_one_lane_runs_inline_without_a_pool(self, force_lanes, monkeypatch, items, macs_per_item, lanes):
+        force_lanes(lanes)
+        monkeypatch.setattr(parallel, "MIN_SHARD_MACS", 10)  # (4, 2): 8 MACs in all fill no shard
+        threads_before = set(threading.enumerate())
+        calls = []
+        x = np.arange(items)
+        out = parallel.map_shards(lambda shard, lead: calls.append((shard, lead)) or shard, x, macs_per_item)
+        np.testing.assert_array_equal(out, x)
+        assert len(calls) == 1 and calls[0][1] is True and calls[0][0] is x
+        assert parallel._pool is None and set(threading.enumerate()) <= threads_before
+
+    def test_a_raising_lead_returns_only_after_every_lane(self, force_lanes):
+        force_lanes(3)
+        finished = []
+
+        def fn(shard, lead):
+            if lead:
+                raise ValueError("lead shard failed")
+            time.sleep(0.2)
+            finished.append(len(shard))
+            return shard
+
+        with pytest.raises(ValueError, match="lead shard failed"):
+            parallel.map_shards(fn, np.arange(9), 1)
+        assert finished == [3, 3]
+
+    def test_a_raising_pool_shard_raises_the_first_error(self, force_lanes):
+        force_lanes(3)
+
+        def fn(shard, lead):
+            if not lead:
+                raise ValueError(f"shard at {shard[0]} failed")
+            return shard
+
+        with pytest.raises(ValueError, match="shard at 3 failed"):
+            parallel.map_shards(fn, np.arange(9), 1)
 
 
 class TestLogging:
