@@ -18,7 +18,7 @@ same batch sharded over 2 worker processes         87 ms         20.5 ms
 Where BLAS is pinned (``OPENBLAS_NUM_THREADS=1`` in the serving benchmarks),
 cores // BLAS threads lanes (:func:`process_lanes`) run at once, and
 ``Deployment.forward`` fills them with :func:`map_shards`: shards of whole
-images.  Unpinned, one lane: BLAS plus shards oversubscribed (0.85-0.94x).
+images.  Unpinned, one lane: BLAS plus 2 lanes oversubscribed (AlexNet 0.84x).
 Forward ms, 1 BLAS thread, tau 0.05, median of 31, 1 / 2 lanes, same host:
 
 ================  ===========  ===========  ===========  ===========

@@ -93,6 +93,19 @@ def tiny_pipeline_result(tiny_qmodel, small_split):
     )
 
 
+@pytest.fixture
+def force_lanes(monkeypatch):
+    """``force_lanes(n)``: the process has ``n`` shard lanes, on a pool of its own for the test."""
+    from repro.utils import parallel
+
+    monkeypatch.setattr(parallel, "_pool", None)
+
+    def force(n: int) -> None:
+        monkeypatch.setattr(parallel, "process_lanes", lambda: n)
+
+    return force
+
+
 #: A response this slow on a reused connection waited out a delayed ACK (~40 ms on Linux).
 STALL_MS = 35.0
 

@@ -64,17 +64,6 @@ def _sample_images(split, n):
     return split.test.images[:n]
 
 
-@pytest.fixture
-def force_lanes(monkeypatch):
-    """``force_lanes(n)``: the process has ``n`` shard lanes, on a pool of its own for the test."""
-    monkeypatch.setattr(parallel, "_pool", None)
-
-    def force(n: int) -> None:
-        monkeypatch.setattr(parallel, "process_lanes", lambda: n)
-
-    return force
-
-
 def _on_pool_thread() -> bool:
     return threading.current_thread().name.startswith("repro-shard")
 
@@ -551,14 +540,15 @@ class TestShardedForward:
                                                        monkeypatch, lanes):
         deployment, images = zoo_deployment
         force_lanes(lanes)
-        xs = images[:33]
+        xs = images[:35]  # uneven over 2 and over 3 lanes
+        shards = _spy_dequantize(monkeypatch)
         for index, level in enumerate(deployment.levels):
-            shards = _spy_dequantize(monkeypatch)
+            shards.clear()
             np.testing.assert_array_equal(
                 deployment.forward(xs, level=index),
                 deployment.qmodel.forward(xs, masks=level.masks),
             )
-            assert sorted(images for _, images in shards) == sorted(
+            assert sorted(size for _, size in shards) == sorted(
                 len(shard) for shard in np.array_split(xs, lanes))
             assert sum(thread.name.startswith("repro-shard") for thread, _ in shards) == lanes - 1
 

@@ -183,16 +183,9 @@ class TestProcessOwnership:
 class TestMapShards:
     """``map_shards`` runs contiguous shards on the lanes that a pinned BLAS leaves idle."""
 
-    @pytest.fixture
-    def force_lanes(self, monkeypatch):
-        """``force_lanes(n)``: the process has ``n`` lanes and any batch item fills a shard."""
-        monkeypatch.setattr(parallel, "_pool", None)
+    @pytest.fixture(autouse=True)
+    def any_item_fills_a_shard(self, monkeypatch):
         monkeypatch.setattr(parallel, "MIN_SHARD_MACS", 1)
-
-        def force(n: int) -> None:
-            monkeypatch.setattr(parallel, "process_lanes", lambda: n)
-
-        return force
 
     @pytest.mark.parametrize(
         "env, cores, lanes",
