@@ -15,6 +15,7 @@ most aggressive; escalating means moving to a higher index.
 
 from __future__ import annotations
 
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
@@ -87,8 +88,11 @@ class Deployment:
                 if mask is None and layer.name not in exact:
                     exact[layer.name] = layer.prepare()
                 level.plans[layer.name] = exact[layer.name] if mask is None else layer.prepare(mask)
-        # The executor runs dense GEMMs whatever a mask keeps: a shard's cost.
-        self._dense_macs = self.qmodel.total_macs()
+
+    @functools.cached_property
+    def _dense_macs(self) -> int:
+        # Sizes the shards per image: the executor runs dense GEMMs whatever a mask keeps.
+        return self.qmodel.total_macs()
 
     # ------------------------------------------------------------------ views
     @property

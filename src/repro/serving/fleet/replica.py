@@ -73,7 +73,9 @@ def _replica_main(index: int, deployment: Any, config: ReplicaConfig, conn) -> N
     from repro.serving.scheduler import Scheduler
     from repro.serving.server import PredictionServer
     from repro.serving.tenancy import TenantTable
+    from repro.utils import parallel
 
+    parallel.run_one_lane()  # the sibling replicas take the other cores
     registry = MetricsRegistry(const_labels={"replica": str(index)})
     obs = Observability(
         registry=registry,

@@ -1,10 +1,17 @@
 """Who owns the cores: BLAS threads, the shard lanes beside them, the fleet.
 
-Every forward pass is a batched NumPy GEMM that BLAS spreads over all cores
-at default settings.  Process pools on top (over DSE designs or a batch's
-shards) paid only with each worker pinned to one BLAS thread and were
-deleted; the fleet (``serve --replicas N``) is the only multi-process path.
-2-core host, medians of interleaved runs:
+At default settings BLAS spreads every forward's GEMMs over all cores, and
+process pools on top (over DSE designs or a batch's shards) paid only with
+each worker pinned to one BLAS thread; they were deleted.  Where BLAS is
+pinned (``OPENBLAS_NUM_THREADS=1`` in the serving benchmarks),
+``Deployment.forward`` fills cores // BLAS threads lanes (:func:`process_lanes`)
+with shards of whole images (:func:`map_shards`).  Unpinned it runs one lane:
+BLAS plus 2 lanes oversubscribed (AlexNet 0.84x).  Only a loaded OpenBLAS
+reports its threads, so under any other BLAS a process runs one lane; cores
+are the affinity mask's, and a CPU quota below it goes unseen.  The fleet
+(``serve --replicas N``) is the only multi-process path, and each replica
+runs one lane (:func:`run_one_lane`): 2 replicas sharding on 2 cores served
+0.76-0.91x the images of 2 that did not.  2-core host, interleaved medians:
 
 =================================================  ============  =============
 workload                                           default BLAS  1 BLAS thread
@@ -15,10 +22,6 @@ AlexNet batch of 32 at tau 0.05, in-process        24-26 ms      24-27 ms
 same batch sharded over 2 worker processes         87 ms         20.5 ms
 =================================================  ============  =============
 
-Where BLAS is pinned (``OPENBLAS_NUM_THREADS=1`` in the serving benchmarks),
-cores // BLAS threads lanes (:func:`process_lanes`) run at once, and
-``Deployment.forward`` fills them with :func:`map_shards`: shards of whole
-images.  Unpinned, one lane: BLAS plus 2 lanes oversubscribed (AlexNet 0.84x).
 Forward ms, 1 BLAS thread, tau 0.05, median of 31, 1 / 2 lanes, same host:
 
 ================  ===========  ===========  ===========  ===========
@@ -32,7 +35,7 @@ AlexNet, 15.9 M   7.42 / 7.13  13.0 / 10.0  23.2 / 14.8  45.1 / 28.0
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import os
 import threading
 from typing import Callable
@@ -41,7 +44,11 @@ import numpy as np
 
 #: Dense MACs per shard: above, 2 lanes lost up to 16 M, broke even at 18-32 M, won 1.27-1.61x from 36 M.
 MIN_SHARD_MACS = 32_000_000
+#: How numpy's wheels (64-bit ints) and plain OpenBLAS builds name the thread count.
+_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads")
 
+_lanes = 0  # this process's shard lanes, once counted
 _pool = None  # this process's ThreadPoolExecutor of lanes - 1 threads; a forked child drops its parent's
 _pool_lock = threading.Lock()
 
@@ -51,15 +58,34 @@ def default_workers() -> int:
     return 1
 
 
-@functools.cache
 def process_lanes() -> int:
-    """``cores // BLAS threads``, or 1 when no thread count is set: BLAS then takes every core."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):  # OpenBLAS's order
-        threads = os.environ.get(variable, "").strip()
-        if threads.isdigit() and int(threads) > 0:
-            return max(1, cores // int(threads))
-    return 1
+    """``cores // BLAS threads`` where the BLAS is an OpenBLAS, otherwise 1; counted once."""
+    global _lanes
+    if not _lanes:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        threads = _openblas_threads()
+        _lanes = max(1, cores // threads) if threads > 0 else 1
+    return _lanes
+
+
+def _openblas_threads() -> int:
+    """Threads of the OpenBLAS mapped into this process (Linux), or 0 if none answers."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps if "openblas" in line})
+        getters = [getattr(ctypes.CDLL(path), name, None) for path in paths for name in _THREAD_GETTERS]
+    except OSError:
+        return 0
+    for get in filter(None, getters):
+        get.argtypes, get.restype = [], ctypes.c_int  # int openblas_get_num_threads(void)
+        return get()
+    return 0
+
+
+def run_one_lane() -> None:
+    """Shard nothing in this process from now on (a fleet replica; see the module docstring)."""
+    global _lanes
+    _lanes = 1
 
 
 def _forget_pool() -> None:

@@ -99,11 +99,9 @@ def force_lanes(monkeypatch):
     from repro.utils import parallel
 
     monkeypatch.setattr(parallel, "_pool", None)
-
-    def force(n: int) -> None:
-        monkeypatch.setattr(parallel, "process_lanes", lambda: n)
-
-    return force
+    yield lambda n: monkeypatch.setattr(parallel, "_lanes", n)
+    if parallel._pool is not None:  # the test's pool: its threads end with the test
+        parallel._pool.shutdown(wait=True)
 
 
 #: A response this slow on a reused connection waited out a delayed ACK (~40 ms on Linux).

@@ -13,12 +13,14 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.obs.exposition import parse_prometheus, sum_samples
 from repro.serving import Deployment, HTTPClient
 from repro.serving.fleet import Fleet, ReplicaConfig
 from repro.serving.server import sanitize_trace_id
+from repro.utils import parallel
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +58,28 @@ def _wait_for(predicate, timeout_s=10.0, interval_s=0.05):
             return True
         time.sleep(interval_s)
     return predicate()
+
+
+# --------------------------------------------------------------------------- cores
+class TestReplicaLanes:
+    """Sibling replicas take the other cores, so a replica shards no batch, pinned BLAS or not."""
+
+    def test_a_replica_runs_its_batches_on_one_lane(self, deployment, images, force_lanes,
+                                                     monkeypatch):
+        force_lanes(2)
+        monkeypatch.setattr(parallel, "MIN_SHARD_MACS", 1)
+
+        def no_pool():
+            raise RuntimeError("the batch was sharded")
+
+        monkeypatch.setattr(parallel, "_shard_pool", no_pool)
+        xs = images[:8]
+        with pytest.raises(RuntimeError, match="sharded"):
+            deployment.forward(xs)  # this process would shard the batch
+        config = ReplicaConfig(policy="fixed", max_batch_size=8, max_wait_ms=20.0)
+        with Fleet(deployment, n_replicas=1, config=config) as fleet:
+            classes = HTTPClient(fleet.url, timeout_s=60.0).predict_classes(xs)
+        np.testing.assert_array_equal(classes, deployment.qmodel.predict_classes(xs))
 
 
 # --------------------------------------------------------------------------- routing

@@ -580,6 +580,20 @@ class TestShardedForward:
             deployment.forward(images[:33], level=1)
         assert len(finished) == 2
 
+    def test_a_deployment_unpickled_without_its_dense_macs_shards(self, zoo_deployment, force_lanes,
+                                                                   monkeypatch):
+        """An artifact store's deployment pickled before the shard cost existed still serves."""
+        deployment, images = zoo_deployment
+        force_lanes(2)
+        stored = pickle.loads(pickle.dumps(deployment))
+        stored.__dict__.pop("_dense_macs", None)
+        shards = _spy_dequantize(monkeypatch)
+        np.testing.assert_array_equal(
+            stored.forward(images[:33], level=1),
+            deployment.qmodel.forward(images[:33], masks=deployment.levels[1].masks),
+        )
+        assert sorted(size for _, size in shards) == [16, 17]
+
     def test_a_forked_child_shards_on_its_own_pool(self, zoo_deployment, force_lanes):
         if _MP.get_start_method() != "fork":
             pytest.skip("the fleet forks only where fork exists")

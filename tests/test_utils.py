@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import logging
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -188,30 +190,50 @@ class TestMapShards:
         monkeypatch.setattr(parallel, "MIN_SHARD_MACS", 1)
 
     @pytest.mark.parametrize(
-        "env, cores, lanes",
-        [
-            ({}, 4, 1),  # unpinned: BLAS takes every core
-            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
-            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, 2),
-            ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 5, 2),
-            ({"OPENBLAS_NUM_THREADS": "8"}, 2, 1),
-            ({"OMP_NUM_THREADS": "x"}, 4, 1),
-        ],
+        "threads, cores, lanes",
+        [(0, 4, 1), (1, 4, 4), (2, 4, 2), (2, 5, 2), (8, 2, 1), (3, 2, 1)],  # 0: not an OpenBLAS
     )
-    def test_lanes_are_cores_over_blas_threads_in_openblas_order(self, monkeypatch, env, cores, lanes):
-        for variable in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(variable, raising=False)
-        for variable, value in env.items():
-            monkeypatch.setenv(variable, value)
+    def test_lanes_are_cores_over_openblas_threads(self, monkeypatch, threads, cores, lanes):
+        monkeypatch.setattr(parallel, "_lanes", 0)
+        monkeypatch.setattr(parallel, "_openblas_threads", lambda: threads)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        assert parallel.process_lanes.__wrapped__() == lanes
+        assert parallel.process_lanes() == lanes
+        monkeypatch.setattr(parallel, "_openblas_threads", lambda: 1)
+        assert parallel.process_lanes() == lanes  # counted once per process
 
     def test_without_affinity_the_cpu_count_is_the_cores(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_lanes", 0)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert parallel.process_lanes.__wrapped__() == 3
+        monkeypatch.setattr(parallel, "_openblas_threads", lambda: 2)
+        assert parallel.process_lanes() == 3
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_the_loaded_openblas_reports_its_threads(self, pinned):
+        maps = Path("/proc/self/maps")
+        if not maps.exists() or "openblas" not in maps.read_text().lower():
+            pytest.skip("only an OpenBLAS mapped into a Linux process can be asked for its threads")
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if pinned:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(repro.__file__).parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        script = ("import os; from repro.utils import parallel; print(parallel._openblas_threads(), "
+                  "parallel.process_lanes(), len(os.sched_getaffinity(0)))")
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+        threads, lanes, cores = map(int, out.split())
+        assert threads == 1 if pinned else threads >= 1
+        assert lanes == max(1, cores // threads)
+
+    def test_a_fleet_replica_runs_one_lane(self, force_lanes):
+        force_lanes(4)
+        parallel.run_one_lane()
+        assert parallel.process_lanes() == 1
+        calls = []
+        parallel.map_shards(lambda shard, lead: calls.append(lead) or shard, np.arange(8), 1)
+        assert calls == [True] and parallel._pool is None
 
     def test_shards_are_contiguous_and_the_lead_runs_inline(self, force_lanes):
         force_lanes(3)
