@@ -35,7 +35,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest>=7", "pytest-benchmark"],
+        "test": ["pytest>=7", "pytest-benchmark", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -13,8 +13,10 @@ configuration into a :class:`DesignPoint`.  The paper ran the exploration on
 single walk over the tree of their per-layer masks: designs that agree on
 their first layers share those layers' activations, and sibling masks over
 one shared input run as one stacked GEMM
-(:func:`~repro.kernels.gemm.stack_plans`).  The cores belong to the BLAS
-threads inside each product (:mod:`repro.utils.parallel` records why).
+(:func:`~repro.kernels.gemm.stack_plans`).  A conv's plan also runs the max
+pool after it, before requantizing (:meth:`QuantizedModel.prepare`), so only
+the pooled outputs are requantized.  The cores belong to the BLAS threads
+inside each product (:mod:`repro.utils.parallel` records why).
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ class DesignEvaluator:
         for design, masks in unique.items():
             for depth, (layer, key) in enumerate(zip(layers, design)):
                 if layer.is_mac_layer and (depth, key) not in plans:
-                    plans[depth, key] = layer.prepare(masks.get(layer.name) if key else None)
+                    plans[depth, key] = self.qmodel.prepare(depth, masks.get(layer.name) if key else None)
         correct = dict.fromkeys(unique, 0)
         n = self.eval_images.shape[0]
         for start in range(0, n, CHUNK_IMAGES):
@@ -339,7 +341,8 @@ class DesignEvaluator:
 
         A non-MAC layer runs once for the group.  At a MAC layer the group
         splits by key, and up to :data:`STACK_PLANS` sibling plans run as one
-        GEMM; each child continues on its own channel slice.
+        GEMM; each child continues on its own channel slice, past the max
+        pool its plan folded in.
         """
         layers = self.qmodel.layers
         while depth < len(layers) and not layers[depth].is_mac_layer:
@@ -362,7 +365,8 @@ class DesignEvaluator:
             offset = 0
             for (_, members), plan in zip(stack, stacked):
                 width = plan.weights.shape[1]
-                self._walk(depth + 1, y[..., offset : offset + width], members, labels, plans, correct)
+                self._walk(depth + 1 + (plan.pool is not None), y[..., offset : offset + width],
+                           members, labels, plans, correct)
                 offset += width
 
 

@@ -10,6 +10,16 @@ product, the epilogue straight into the block's int8 output) and a dense
 layer as one product.  Values stay exact integers until the float64
 multiply, so results are bit-identical to the int64 reference dataflow.
 :func:`stack_plans` lets plans that read one input share one product.
+
+A convolution's plan may also carry the max pool that follows it
+(``pool``): each block's accumulators are pooled before the epilogue, so
+only the pooled outputs are requantized.  That equals pooling the int8
+output, bit for bit.  With every multiplier ``m`` positive, each step of
+the epilogue ``clip(rint((A + init) * m) + zp)`` is non-decreasing in the
+integer accumulator ``A``: a correctly rounded float64 sum or product never
+reverses an order, and neither do ``rint`` and ``clip``.  So the largest
+``A`` of a window gives its largest int8 value.  Blocks hold whole images,
+so no window straddles two blocks.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import numpy as np
 
 from repro.kernels.accumulate import exact_matmul_dtype
 from repro.kernels.im2col import im2col_s8
+from repro.kernels.pooling_s8 import max_pool_nhwc
 from repro.nn.functional import conv_output_shape, pad_nhwc
 
 #: Output positions (images x out_h x out_w) one convolution block covers;
@@ -36,7 +47,8 @@ class GemmPlan:
     ``exact_matmul_dtype(K)``; ``init`` (float64) is each channel's
     ``bias - zp_in * sum(retained w)``.  ``kernel_size`` is ``None`` for a
     dense layer; a convolution pads with ``input_zero_point``, which the
-    folded init cancels.
+    folded init cancels.  ``pool`` is the ``(kernel, stride)`` of a max pool
+    the convolution's output goes through before it is returned.
     """
 
     weights: np.ndarray
@@ -49,6 +61,11 @@ class GemmPlan:
     stride: Tuple[int, int] = (1, 1)
     padding: Tuple[int, int] = (0, 0)
     input_zero_point: int = 0
+    pool: Optional[Tuple[Tuple[int, int], Tuple[int, int]]] = None
+
+    def __post_init__(self) -> None:
+        if self.pool is not None and (self.kernel_size is None or not (self.multipliers > 0).all()):
+            raise ValueError("only a convolution with positive multipliers can fold a max pool")
 
 
 def mask_and_fold(
@@ -104,16 +121,16 @@ def prepare_gemm(
 def stack_plans(plans: Sequence[GemmPlan]) -> GemmPlan:
     """One plan whose output channels are ``plans``' channels, side by side, in order.
 
-    The plans must share K, geometry, zero points and clamp.  Every channel's
-    partial sums are exact integers in ``exact_matmul_dtype(K)``, so each
-    channel slice of the stacked output equals that plan's own output.
+    The plans must share K, geometry, zero points, clamp and pool.  Every
+    channel's partial sums are exact integers in ``exact_matmul_dtype(K)``,
+    so each channel slice of the stacked output equals that plan's own output.
     """
     def shared(plan: GemmPlan) -> tuple:
-        return (plan.weights.shape[0], plan.kernel_size, plan.stride, plan.padding,
-                plan.input_zero_point, plan.output_zero_point, plan.activation_min, plan.activation_max)
+        return (plan.weights.shape[0], plan.kernel_size, plan.stride, plan.padding, plan.input_zero_point,
+                plan.output_zero_point, plan.activation_min, plan.activation_max, plan.pool)
 
     if any(shared(plan) != shared(plans[0]) for plan in plans):
-        raise ValueError("stacked plans must share K, geometry, zero points and clamp")
+        raise ValueError("stacked plans must share K, geometry, zero points, clamp and pool")
     if len(plans) == 1:
         return plans[0]
     return replace(plans[0], weights=np.concatenate([plan.weights for plan in plans], axis=1),
@@ -121,9 +138,9 @@ def stack_plans(plans: Sequence[GemmPlan]) -> GemmPlan:
                    multipliers=np.concatenate([plan.multipliers for plan in plans]))
 
 
-def _gemm_into(plan: GemmPlan, operands: np.ndarray, out: np.ndarray) -> None:
-    """``out = clip(rint((operands @ W + init) * m) + zp)`` for one block."""
-    acc = (operands @ plan.weights).astype(np.float64, copy=False)
+def _requantize_into(plan: GemmPlan, acc: np.ndarray, out: np.ndarray) -> None:
+    """``out = clip(rint((acc + init) * m) + zp)`` for one block's ``(rows, Cout)`` accumulators."""
+    acc = acc.astype(np.float64, copy=False)
     acc += plan.init
     acc *= plan.multipliers
     np.rint(acc, out=acc)
@@ -141,7 +158,7 @@ def execute_gemm(plan: GemmPlan, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != k:
             raise ValueError(f"dense plan expects input (N, {k}), got shape {x.shape}")
         out = np.empty((x.shape[0], out_c), dtype=np.int8)
-        _gemm_into(plan, x.astype(plan.weights.dtype), out)
+        _requantize_into(plan, x.astype(plan.weights.dtype) @ plan.weights, out)
         return out
 
     kh, kw = plan.kernel_size
@@ -149,14 +166,20 @@ def execute_gemm(plan: GemmPlan, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"conv plan expects NHWC input with {k // (kh * kw)} channels, got {x.shape}")
     n, in_h, in_w, _ = x.shape
     out_h, out_w = conv_output_shape(in_h, in_w, plan.kernel_size, plan.stride, plan.padding)
-    out = np.empty((n, out_h, out_w, out_c), dtype=np.int8)
+    kept_h, kept_w = out_h, out_w
+    if plan.pool is not None:
+        kept_h, kept_w = conv_output_shape(out_h, out_w, *plan.pool, (0, 0))
+    out = np.empty((n, kept_h, kept_w, out_c), dtype=np.int8)
     flat = out.reshape(-1, out_c)
     xp = pad_nhwc(x, plan.padding, value=plan.input_zero_point)  # pad once, window per block
-    per_image = out_h * out_w
-    step = max(1, BLOCK_POSITIONS // per_image)
+    kept = kept_h * kept_w
+    step = max(1, BLOCK_POSITIONS // (out_h * out_w))
     for start in range(0, n, step):
         stop = min(start + step, n)
         cols = im2col_s8(xp[start:stop], plan.kernel_size, plan.stride, (0, 0),
                          plan.input_zero_point, dtype=plan.weights.dtype)
-        _gemm_into(plan, cols.reshape(-1, k), flat[start * per_image : stop * per_image])
+        acc = cols.reshape(-1, k) @ plan.weights
+        if plan.pool is not None:  # pool the exact sums; only the kept ones are requantized
+            acc = max_pool_nhwc(acc.reshape(-1, out_h, out_w, out_c), *plan.pool).reshape(-1, out_c)
+        _requantize_into(plan, acc, flat[start * kept : stop * kept])
     return out

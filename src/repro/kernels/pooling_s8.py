@@ -10,6 +10,18 @@ from repro.kernels.cycle_counters import CycleCounter, KernelStats
 from repro.nn import functional as F
 
 
+def max_pool_nhwc(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int]) -> np.ndarray:
+    """Max pooling of an NHWC array of any dtype: a ``np.maximum`` chain over strided views."""
+    (_, in_h, in_w, _), (kh, kw), (sh, sw) = x.shape, kernel, stride
+    out_h, out_w = F.conv_output_shape(in_h, in_w, kernel, stride, (0, 0))
+    h_span, w_span = sh * (out_h - 1) + 1, sw * (out_w - 1) + 1
+    out = x[:, :h_span:sh, :w_span:sw].copy()
+    for i, j in np.ndindex(kh, kw):
+        if i or j:
+            np.maximum(out, x[:, i : i + h_span : sh, j : j + w_span : sw], out=out)
+    return out
+
+
 def max_pool_s8(
     x: np.ndarray,
     kernel: Tuple[int, int],
@@ -17,19 +29,14 @@ def max_pool_s8(
     counter: Optional[CycleCounter] = None,
     section: str = "max_pool",
 ) -> np.ndarray:
-    """int8 max pooling over NHWC input: a ``np.maximum`` chain over strided int8 views."""
+    """int8 max pooling over NHWC input (:func:`max_pool_nhwc`)."""
     x = np.asarray(x)
     if x.dtype != np.int8:
         raise TypeError("max_pool_s8 expects int8 input")
     n, in_h, in_w, c = x.shape
     kh, kw = kernel
-    sh, sw = stride
-    out_h, out_w = F.conv_output_shape(in_h, in_w, kernel, stride, (0, 0))
-    h_span, w_span = sh * (out_h - 1) + 1, sw * (out_w - 1) + 1
-    out = x[:, :h_span:sh, :w_span:sw].copy()
-    for i, j in np.ndindex(kh, kw):
-        if i or j:
-            np.maximum(out, x[:, i : i + h_span : sh, j : j + w_span : sw], out=out)
+    out = max_pool_nhwc(x, kernel, stride)
+    out_h, out_w = out.shape[1:3]
 
     if counter is not None:
         counter.record(

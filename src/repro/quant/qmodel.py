@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels.cycle_counters import CycleCounter
-from repro.quant.qlayers import QConv2D, QLayer
+from repro.kernels.gemm import GemmPlan
+from repro.quant.qlayers import QConv2D, QLayer, QMaxPool2D
 from repro.quant.schemes import QuantizationParams, dequantize, quantize
 
 
@@ -113,6 +115,20 @@ class QuantizedModel:
         return max(pairwise) if pairwise else 0
 
     # ------------------------------------------------------------------ execution
+    def prepare(self, index: int, weight_mask: Optional[np.ndarray] = None) -> GemmPlan:
+        """The plan of MAC layer ``layers[index]`` under ``weight_mask``, with its max pool folded in.
+
+        A convolution that feeds a :class:`QMaxPool2D` directly gets that pool
+        (:attr:`GemmPlan.pool`), and whoever runs the plan skips the pool layer.
+        :meth:`forward` stays unfused: it is the reference every plan is checked against.
+        """
+        layer = self.layers[index]
+        after = self.layers[index + 1] if index + 1 < len(self.layers) else None
+        plan = layer.prepare(weight_mask)
+        if layer.is_conv and isinstance(after, QMaxPool2D):
+            plan = replace(plan, pool=(after.kernel, after.stride))
+        return plan
+
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
         """Quantize float NHWC inputs with the model's input parameters."""
         return quantize(x, self.input_params)

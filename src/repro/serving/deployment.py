@@ -79,15 +79,19 @@ class Deployment:
         if not self.levels:
             raise ValueError("a deployment needs at least one service level")
         # Prepare every level's plans once; a layer a level leaves unmasked
-        # shares one plan object with every other level that does.
+        # shares one plan object with every other level that does.  A conv's
+        # plan carries the max pool after it (QuantizedModel.prepare).
         exact: Dict[str, GemmPlan] = {}
         for level in self.levels:
             level.plans = {}
-            for layer in self.qmodel.mac_layers():
+            for index, layer in enumerate(self.qmodel.layers):
+                if not layer.is_mac_layer:
+                    continue
                 mask = level.masks.get(layer.name) if level.masks else None
                 if mask is None and layer.name not in exact:
-                    exact[layer.name] = layer.prepare()
-                level.plans[layer.name] = exact[layer.name] if mask is None else layer.prepare(mask)
+                    exact[layer.name] = self.qmodel.prepare(index)
+                plan = exact[layer.name] if mask is None else self.qmodel.prepare(index, mask)
+                level.plans[layer.name] = plan
 
     @functools.cached_property
     def _dense_macs(self) -> int:
@@ -116,23 +120,29 @@ class Deployment:
         """Dequantized logits of a float NHWC batch under one service level.
 
         One loop over the model's layers: MAC layers execute the level's
-        prepared plans, the others their library kernels.  A batch with
-        enough work runs it as concurrent shards of whole images on the cores
-        BLAS leaves idle (:func:`repro.utils.parallel.map_shards`), with the
-        same logits.  An active ``profiler`` (a sampled
-        :class:`~repro.obs.profiling.Profiler`) times each layer of the lead
-        shard as a ``layer:NAME`` section.
+        prepared plans, the others their library kernels.  A conv plan that
+        carries the max pool after it (:meth:`QuantizedModel.prepare`) runs
+        that pool too, and the loop skips the pool layer; plans pickled
+        without a pool leave it to the layer.  A batch with enough work runs
+        as concurrent shards of whole images on the cores BLAS leaves idle
+        (:func:`repro.utils.parallel.map_shards`), with the same logits.  An
+        active ``profiler`` (a sampled :class:`~repro.obs.profiling.Profiler`)
+        times each step of the lead shard as a ``layer:NAME`` section, a
+        conv's section including its folded pool.
         """
         plans = self.levels[level].plans
         timed = profiler is not None and getattr(profiler, "active", False)
+        layers = self.qmodel.layers
 
         def run(shard: np.ndarray, lead: bool) -> np.ndarray:
             q = self.qmodel.quantize_input(shard)
-            for layer in self.qmodel.layers:
-                plan = plans.get(layer.name)
+            depth = 0
+            while depth < len(layers):
+                layer, plan = layers[depth], plans.get(layers[depth].name)
                 with profiler.timer(f"layer:{layer.name}") if timed and lead else nullcontext():
                     q = layer.forward(q) if plan is None else execute_gemm(plan, q)
-            return dequantize(q, self.qmodel.layers[-1].output_params)
+                depth += 1 if plan is None or plan.pool is None else 2
+            return dequantize(q, layers[-1].output_params)
 
         return parallel.map_shards(run, x, self._dense_macs)
 

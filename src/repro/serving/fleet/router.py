@@ -221,6 +221,12 @@ class FleetRouter(HTTPFront):
             links[state.name] = link
         return link
 
+    def _on_connection_end(self) -> None:
+        """Close the ending handler thread's links: nothing else would before the collector."""
+        for link in (getattr(self._local, "links", None) or {}).values():
+            link.close()
+        self._local.links = None
+
     def _forward(
         self, state: _ReplicaState, body: bytes, trace_id: str
     ) -> Tuple[int, bytes, str]:

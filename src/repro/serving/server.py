@@ -161,6 +161,12 @@ class _Handler(BaseHTTPRequestHandler):
         if tracer is not None and tracer.enabled and trace_id is not None:
             tracer.record_span("respond", trace_id, write_started, time.monotonic())
 
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.front._on_connection_end()
+
 
 class _ThreadingHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server with a listen backlog sized for burst traffic.
@@ -216,6 +222,9 @@ class HTTPFront:
 
     def _on_start(self) -> None:
         """Runs each time :meth:`start` launches the serving thread."""
+
+    def _on_connection_end(self) -> None:
+        """Runs on a handler thread when its client connection ends, before the thread exits."""
 
     def stop(self) -> None:
         """Stop accepting connections and join the serving thread."""

@@ -265,9 +265,9 @@ class TestDesignEvaluator:
             prepare = module.prepare_gemm  # what the counted forward and QLayer.prepare both reach
             monkeypatch.setattr(module, "prepare_gemm",
                                 lambda *a, _prepare=prepare, **k: prepared.append(1) or _prepare(*a, **k))
-        run_block = gemm._gemm_into
-        monkeypatch.setattr(gemm, "_gemm_into",
-                            lambda plan, rows, out: outputs.append(out.size) or run_block(plan, rows, out))
+        requantize = gemm._requantize_into  # every executed plan's epilogue, block by block
+        monkeypatch.setattr(gemm, "_requantize_into",
+                            lambda plan, acc, out: outputs.append(out.size) or requantize(plan, acc, out))
 
         evaluator.evaluate([ApproxConfig.exact(tiny_qmodel.name), approx, first_only])
         assert len(prepared) == len(tiny_qmodel.mac_layers()) + len(masks)

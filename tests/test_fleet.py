@@ -7,7 +7,9 @@ spawn their own short-lived fleets because they kill replicas.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -133,6 +135,36 @@ class TestRouting:
         nodelay, stalls = keep_alive_probe(fleet.router.host, fleet.router.port)
         assert nodelay, "the router accepted a connection with Nagle's algorithm on"
         assert stalls <= 10, f"{stalls} of 20 keep-alive requests stalled"
+
+    def test_router_closes_its_replica_links_when_a_keep_alive_client_leaves(self, fleet, images, monkeypatch):
+        router = fleet.router
+        links, handlers, ended = [], set(), threading.Event()
+        make_link, on_end = router._link, router._on_connection_end
+
+        def recording_link(state):
+            handlers.add(threading.current_thread())
+            links.append(make_link(state))
+            return links[-1]
+
+        def recording_end():
+            on_end()
+            if threading.current_thread() in handlers:  # not a handler left over from another test
+                ended.set()
+
+        monkeypatch.setattr(router, "_link", recording_link)
+        monkeypatch.setattr(router, "_on_connection_end", recording_end)
+        body = json.dumps({"inputs": images[0].tolist()}).encode("utf-8")
+        connection = http.client.HTTPConnection(router.host, router.port, timeout=30)
+        try:
+            for _ in range(4):
+                connection.request("POST", "/predict", body=body, headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200 and len(json.loads(response.read())["classes"]) == 1
+            assert len(handlers) == 1 and all(link.sock is not None for link in links)  # kept alive
+        finally:
+            connection.close()
+        assert ended.wait(10), "the router's handler did not end with its client's connection"
+        assert links and all(link.sock is None for link in links)
 
     def test_burst_spreads_over_both_replicas(self, fleet, images):
         client = HTTPClient(fleet.url, timeout_s=60.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,85 @@ class TestStackPlans:
             with pytest.raises(ValueError):
                 stack_plans([plan, other])
         assert stack_plans([plan]) is plan
+
+
+def _pooled_case(seed, n, size, cout, pool, relu, ties, masked, padding=(1, 1)):
+    """A random 3x3 conv plan, the same plan carrying ``pool``, and an int8 batch."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-128, 128, size=(n, size, size, 3), dtype=np.int8)
+    weights = rng.integers(-127, 128, size=(cout, 3, 3, 3), dtype=np.int8)
+    bias = rng.integers(-2000, 2000, size=cout).astype(np.int64)
+    # Powers of two put (A + init) * m on exact .5 ties for many A; rint then rounds half to even.
+    multipliers = 2.0 ** -rng.integers(1, 4, size=cout) if ties else rng.uniform(1e-4, 5e-3, size=cout)
+    mask = rng.random((cout, 27)) > 0.4 if masked else None
+    zp = int(rng.integers(-20, 20))
+    plan = prepare_conv_s8(weights, bias, int(rng.integers(-10, 10)), zp, multipliers, (1, 1), padding,
+                           activation_min=zp if relu else -128, weight_mask=mask)
+    return plan, replace(plan, pool=pool), x
+
+
+POOLS = [((2, 2), (2, 2)), ((3, 3), (2, 2)), ((2, 2), (1, 1)), ((3, 2), (1, 3))]
+
+
+class TestFoldedPool:
+    """``execute_gemm`` of a plan carrying a max pool equals pooling its int8 output, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        size=st.integers(4, 11),
+        cout=st.integers(1, 6),
+        pool=st.sampled_from(POOLS),
+        relu=st.booleans(),
+        ties=st.booleans(),
+        masked=st.booleans(),
+    )
+    def test_equals_pooling_the_requantized_output(self, seed, n, size, cout, pool, relu, ties, masked):
+        plan, pooled, x = _pooled_case(seed, n, size, cout, pool, relu, ties, masked)
+        np.testing.assert_array_equal(execute_gemm(pooled, x), max_pool_s8(execute_gemm(plan, x), *pool))
+
+    @pytest.mark.parametrize("pool", POOLS)
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_odd_sizes_over_several_blocks_with_ties(self, pool, relu):
+        """9x9 outputs: odd, so 2x2/2 drops a row and column; 12 images a block, the last one short."""
+        per_block = BLOCK_POSITIONS // 81
+        n = 2 * per_block + 5
+        plan, pooled, x = _pooled_case(7, n, 9, 4, pool, relu, ties=True, masked=True)
+        reference = execute_gemm(plan, x)
+        out = execute_gemm(pooled, x)
+        np.testing.assert_array_equal(out, max_pool_s8(reference, *pool))
+        np.testing.assert_array_equal(out, naive_max_pool_s8(reference, *pool))
+        assert out.shape == (n,) + naive_max_pool_s8(reference[:1], *pool).shape[1:]
+        cols = im2col_s8(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)), constant_values=plan.input_zero_point),
+                         (3, 3), (1, 1), (0, 0), plan.input_zero_point, dtype=np.int64)
+        scaled = (cols.reshape(-1, 27) @ plan.weights.astype(np.int64) + plan.init) * plan.multipliers
+        assert np.count_nonzero(np.abs(scaled % 1 - 0.5) == 0) > 100  # the case reaches exact ties
+
+    @pytest.mark.parametrize("pool", POOLS[:2])
+    def test_stacked_pooled_plans_slice_into_each_plans_output(self, pool):
+        _, first, x = _pooled_case(3, 29, 9, 4, pool, relu=True, ties=True, masked=True)
+        others = [_pooled_case(seed, 1, 9, 4, pool, relu=True, ties=True, masked=True)[1] for seed in (4, 5)]
+        plans = [first] + [replace(first, weights=o.weights, init=o.init, multipliers=o.multipliers)
+                           for o in others]
+        stacked = execute_gemm(stack_plans(plans), x)
+        for i, plan in enumerate(plans):
+            unpooled = execute_gemm(replace(plan, pool=None), x)
+            np.testing.assert_array_equal(stacked[..., 4 * i : 4 * i + 4], max_pool_s8(unpooled, *pool))
+
+    def test_plans_with_different_pools_refuse_to_stack(self):
+        plan, pooled, _ = _pooled_case(1, 1, 9, 4, POOLS[0], relu=False, ties=False, masked=False)
+        for pair in ([plan, pooled], [pooled, replace(pooled, pool=POOLS[1])]):
+            with pytest.raises(ValueError, match="pool"):
+                stack_plans(pair)
+
+    def test_only_a_convolution_with_positive_multipliers_folds_a_pool(self, rng):
+        dense = prepare_fully_connected_s8(rng.integers(-127, 128, size=(8, 3), dtype=np.int8), None,
+                                           0, 0, np.full(3, 1e-3))
+        plan, _, _ = _pooled_case(1, 1, 9, 4, POOLS[0], relu=False, ties=False, masked=False)
+        for bad in (dense, replace(plan, multipliers=-plan.multipliers)):
+            with pytest.raises(ValueError, match="positive multipliers"):
+                replace(bad, pool=POOLS[0])
 
 
 class TestPoolingS8:

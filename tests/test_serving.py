@@ -16,6 +16,7 @@ import pytest
 import repro.serving.deployment as deployment_module
 from repro.obs import Observability
 from repro.obs.profiling import Profiler
+from repro.quant.qlayers import QMaxPool2D
 from repro.registry import POLICIES
 from repro.serving import (
     Client,
@@ -80,6 +81,18 @@ def _spy_dequantize(monkeypatch, before=None):
 
     monkeypatch.setattr(deployment_module, "dequantize", dequantize)
     return shards
+
+
+def _spy_max_pools(monkeypatch):
+    """Record the name of each max pool layer that runs its own ``forward``."""
+    real, ran = QMaxPool2D.forward, []
+
+    def forward(layer, x, weight_mask=None, counter=None):
+        ran.append(layer.name)
+        return real(layer, x, weight_mask, counter)
+
+    monkeypatch.setattr(QMaxPool2D, "forward", forward)
+    return ran
 
 
 # --------------------------------------------------------------------------- priority scheduling
@@ -520,6 +533,37 @@ class TestDeploymentPlans:
                 shared += 1
         assert shared  # every zoo model has an unmasked dense classifier
 
+    def test_each_conv_plan_carries_the_max_pool_after_it(self, zoo_deployment, monkeypatch):
+        deployment, images = zoo_deployment
+        layers = deployment.qmodel.layers
+        pools = {layer.name: (after.kernel, after.stride)
+                 for layer, after in zip(layers, layers[1:]) if isinstance(after, QMaxPool2D)}
+        assert pools and all(deployment.qmodel.get_layer(name).is_conv for name in pools)
+        for level in deployment.levels:
+            assert {name: plan.pool for name, plan in level.plans.items()} == {
+                name: pools.get(name) for name in level.plans}
+        ran = _spy_max_pools(monkeypatch)
+        deployment.forward(images[:7], level=1)
+        assert ran == []
+
+    def test_plans_pickled_before_pools_were_folded_run_the_pool_layers(self, zoo_deployment, force_lanes,
+                                                                        monkeypatch):
+        """An artifact store's deployment whose plans predate ``GemmPlan.pool`` serves unfused, identically."""
+        deployment, images = zoo_deployment
+        force_lanes(1)  # one shard, so each pool layer runs once a batch
+        stored = pickle.loads(pickle.dumps(deployment))
+        for level in stored.levels:
+            for plan in level.plans.values():
+                plan.__dict__.pop("pool", None)
+        ran = _spy_max_pools(monkeypatch)
+        pools = [layer.name for layer in deployment.qmodel.layers if isinstance(layer, QMaxPool2D)]
+        for index, level in enumerate(stored.levels):
+            ran.clear()
+            logits = stored.forward(images[:7], level=index)
+            assert ran == pools
+            np.testing.assert_array_equal(logits, deployment.qmodel.forward(images[:7], masks=level.masks))
+            np.testing.assert_array_equal(logits, deployment.forward(images[:7], level=index))
+
     def test_pickled_deployment_answers_identically(self, zoo_deployment):
         deployment, images = zoo_deployment
         clone = pickle.loads(pickle.dumps(deployment))
@@ -531,15 +575,19 @@ class TestDeploymentPlans:
         assert clone.levels[1].plans[dense] is clone.levels[0].plans[dense]
 
 
-@pytest.mark.parametrize("zoo_deployment", ["lenet", "alexnet"], indirect=True)
+_SHARDED = pytest.mark.parametrize("zoo_deployment", ["lenet", "alexnet"], indirect=True)
+
+
 class TestShardedForward:
     """Where BLAS leaves lanes idle, a batch runs as shards with the kernels' logits."""
 
+    @pytest.mark.parametrize("zoo_deployment", ["tiny_cnn", "lenet", "alexnet"], indirect=True)
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_sharded_logits_equal_the_kernel_reference(self, zoo_deployment, force_lanes,
                                                        monkeypatch, lanes):
         deployment, images = zoo_deployment
         force_lanes(lanes)
+        monkeypatch.setattr(parallel, "MIN_SHARD_MACS", 1)  # the tiny CNN's batch of 35 shards too
         xs = images[:35]  # uneven over 2 and over 3 lanes
         shards = _spy_dequantize(monkeypatch)
         for index, level in enumerate(deployment.levels):
@@ -552,7 +600,9 @@ class TestShardedForward:
                 len(shard) for shard in np.array_split(xs, lanes))
             assert sum(thread.name.startswith("repro-shard") for thread, _ in shards) == lanes - 1
 
+    @_SHARDED
     def test_profiled_sharded_forward_times_each_layer_once(self, zoo_deployment, force_lanes):
+        """One section per executed step: a conv's includes the max pool folded into it."""
         deployment, images = zoo_deployment
         force_lanes(3)
         profiler = Profiler(sample_every=1)
@@ -561,8 +611,10 @@ class TestShardedForward:
         np.testing.assert_array_equal(
             logits, deployment.qmodel.forward(images[:33], masks=deployment.levels[1].masks))
         names = [section for section, _, _ in profiler.batch_sections()]
-        assert names == [f"layer:{layer.name}" for layer in deployment.qmodel.layers]
+        assert names == [f"layer:{layer.name}" for layer in deployment.qmodel.layers
+                         if not isinstance(layer, QMaxPool2D)]
 
+    @_SHARDED
     def test_a_raising_shard_fails_forward_after_every_lane(self, zoo_deployment, force_lanes,
                                                             monkeypatch):
         deployment, images = zoo_deployment
@@ -580,6 +632,7 @@ class TestShardedForward:
             deployment.forward(images[:33], level=1)
         assert len(finished) == 2
 
+    @_SHARDED
     def test_a_deployment_unpickled_without_its_dense_macs_shards(self, zoo_deployment, force_lanes,
                                                                    monkeypatch):
         """An artifact store's deployment pickled before the shard cost existed still serves."""
@@ -594,6 +647,7 @@ class TestShardedForward:
         )
         assert sorted(size for _, size in shards) == [16, 17]
 
+    @_SHARDED
     def test_a_forked_child_shards_on_its_own_pool(self, zoo_deployment, force_lanes):
         if _MP.get_start_method() != "fork":
             pytest.skip("the fleet forks only where fork exists")
